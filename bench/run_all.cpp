@@ -164,5 +164,10 @@ int main(int argc, char** argv) {
     }
     return -1;  // fall through to the bench loop
   };
-  return ehpc::bench::run_all_main(argc, argv, &hooks);
+  try {
+    return ehpc::bench::run_all_main(argc, argv, &hooks);
+  } catch (const ConfigError& err) {  // a flag value that does not parse
+    std::cerr << "error: " << err.what() << "\n";
+    return 2;
+  }
 }

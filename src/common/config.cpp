@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 
 namespace ehpc {
 
@@ -11,6 +14,12 @@ namespace {
 std::string normalize_key(std::string key) {
   std::replace(key.begin(), key.end(), '-', '_');
   return key;
+}
+
+ConfigError bad_value(const std::string& key, const std::string& value,
+                      const char* expected) {
+  return ConfigError("bad value for '" + key + "': '" + value + "' (expected " +
+                     expected + ")");
 }
 
 }  // namespace
@@ -74,13 +83,32 @@ std::string Config::get_or(const std::string& key,
 int Config::get_int(const std::string& key, int fallback) const {
   auto v = get(key);
   if (!v) return fallback;
-  return std::atoi(v->c_str());
+  char* end = nullptr;
+  errno = 0;
+  const long value = std::strtol(v->c_str(), &end, 10);
+  if (v->empty() || end != v->c_str() + v->size()) {
+    throw bad_value(key, *v, "an integer");
+  }
+  if (errno == ERANGE || value < std::numeric_limits<int>::min() ||
+      value > std::numeric_limits<int>::max()) {
+    throw bad_value(key, *v, "an integer in int range");
+  }
+  return static_cast<int>(value);
 }
 
 double Config::get_double(const std::string& key, double fallback) const {
   auto v = get(key);
   if (!v) return fallback;
-  return std::atof(v->c_str());
+  char* end = nullptr;
+  errno = 0;
+  const double value = std::strtod(v->c_str(), &end);
+  if (v->empty() || end != v->c_str() + v->size()) {
+    throw bad_value(key, *v, "a number");
+  }
+  if (errno == ERANGE && std::isinf(value)) {
+    throw bad_value(key, *v, "a number in double range");
+  }
+  return value;
 }
 
 bool Config::get_bool(const std::string& key, bool fallback) const {
@@ -89,7 +117,13 @@ bool Config::get_bool(const std::string& key, bool fallback) const {
   std::string lower = *v;
   std::transform(lower.begin(), lower.end(), lower.begin(),
                  [](unsigned char c) { return std::tolower(c); });
-  return lower == "1" || lower == "true" || lower == "yes" || lower == "on";
+  if (lower == "1" || lower == "true" || lower == "yes" || lower == "on") {
+    return true;
+  }
+  if (lower == "0" || lower == "false" || lower == "no" || lower == "off") {
+    return false;
+  }
+  throw bad_value(key, *v, "1/true/yes/on or 0/false/no/off");
 }
 
 }  // namespace ehpc

@@ -42,6 +42,10 @@ class Config {
 
   std::optional<std::string> get(const std::string& key) const;
   std::string get_or(const std::string& key, const std::string& fallback) const;
+  /// Typed getters return `fallback` when the key is absent. A present value
+  /// must parse completely (no empty value, no trailing characters, an int
+  /// within int range, a bool spelled 1/true/yes/on or 0/false/no/off, any
+  /// case); otherwise they throw ConfigError naming the key and the value.
   int get_int(const std::string& key, int fallback) const;
   double get_double(const std::string& key, double fallback) const;
   bool get_bool(const std::string& key, bool fallback) const;

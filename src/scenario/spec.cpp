@@ -1,14 +1,18 @@
 #include "scenario/spec.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
+#include <concepts>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
+#include <type_traits>
 
 #include "charm/load_balancer.hpp"
 #include "common/error.hpp"
-#include "common/table.hpp"
 #include "elastic/workload.hpp"
+#include "scenario/axis_point.hpp"
 
 namespace ehpc::scenario {
 
@@ -29,42 +33,6 @@ Substrate substrate_from_string(const std::string& name) {
                     "'; known: schedsim cluster");
 }
 
-std::string to_string(SweepAxis a) {
-  switch (a) {
-    case SweepAxis::kNone: return "none";
-    case SweepAxis::kSubmissionGap: return "submission_gap";
-    case SweepAxis::kRescaleGap: return "rescale_gap";
-    case SweepAxis::kRefineRate: return "refine_rate";
-    case SweepAxis::kLbStrategy: return "lb_strategy";
-    case SweepAxis::kFaultMtbf: return "fault_mtbf";
-    case SweepAxis::kCheckpointPeriod: return "checkpoint_period";
-    case SweepAxis::kGraphSkew: return "graph_skew";
-    case SweepAxis::kNetOversub: return "net_oversub";
-  }
-  return "?";
-}
-
-SweepAxis sweep_axis_from_string(const std::string& name) {
-  if (name == "none") return SweepAxis::kNone;
-  if (name == "submission_gap") return SweepAxis::kSubmissionGap;
-  if (name == "rescale_gap") return SweepAxis::kRescaleGap;
-  if (name == "refine_rate") return SweepAxis::kRefineRate;
-  if (name == "lb_strategy") return SweepAxis::kLbStrategy;
-  if (name == "fault_mtbf") return SweepAxis::kFaultMtbf;
-  if (name == "checkpoint_period") return SweepAxis::kCheckpointPeriod;
-  if (name == "graph_skew") return SweepAxis::kGraphSkew;
-  if (name == "net_oversub") return SweepAxis::kNetOversub;
-  throw ConfigError(
-      "unknown sweep axis '" + name +
-      "'; known: none submission_gap rescale_gap refine_rate lb_strategy "
-      "fault_mtbf checkpoint_period graph_skew net_oversub");
-}
-
-bool axis_affects_workloads(SweepAxis a) {
-  return a == SweepAxis::kRefineRate || a == SweepAxis::kLbStrategy ||
-         a == SweepAxis::kGraphSkew || a == SweepAxis::kNetOversub;
-}
-
 namespace {
 
 std::vector<std::string> split_list(const std::string& text) {
@@ -77,10 +45,17 @@ std::vector<std::string> split_list(const std::string& text) {
   return out;
 }
 
-std::vector<PolicyMode> parse_policies(const std::string& text) {
+// Text parsers, one per non-scalar field type.
+using Text = const std::string&;
+void from_text(Text text, std::string& v) { v = text; }
+void from_text(Text text, Substrate& v) { v = substrate_from_string(text); }
+void from_text(Text text, SweepAxis& v) { v = sweep_axis_from_string(text); }
+
+void from_text(Text text, std::vector<PolicyMode>& v) {
   if (text == "all") {
-    return {PolicyMode::kRigidMin, PolicyMode::kRigidMax, PolicyMode::kMoldable,
-            PolicyMode::kElastic};
+    v = {PolicyMode::kRigidMin, PolicyMode::kRigidMax, PolicyMode::kMoldable,
+         PolicyMode::kElastic};
+    return;
   }
   std::vector<PolicyMode> out;
   for (const auto& item : split_list(text)) {
@@ -93,10 +68,10 @@ std::vector<PolicyMode> parse_policies(const std::string& text) {
     }
   }
   if (out.empty()) throw ConfigError("policies list is empty: '" + text + "'");
-  return out;
+  v = std::move(out);
 }
 
-std::vector<double> parse_values(const std::string& text) {
+void from_text(Text text, std::vector<double>& v) {
   std::vector<double> out;
   for (const auto& item : split_list(text)) {
     char* end = nullptr;
@@ -106,15 +81,16 @@ std::vector<double> parse_values(const std::string& text) {
     }
     out.push_back(value);
   }
-  return out;
+  v = std::move(out);
 }
 
-std::vector<int> parse_domain_sizes(const std::string& text) {
+void from_text(Text text, std::vector<int>& v) {
   std::vector<int> out;
   for (const auto& item : split_list(text)) {
     char* end = nullptr;
     const long value = std::strtol(item.c_str(), &end, 10);
-    if (end != item.c_str() + item.size() || value <= 0) {
+    if (end != item.c_str() + item.size() || value <= 0 ||
+        value > std::numeric_limits<int>::max()) {
       throw ConfigError("bad fault_domains entry '" + item + "' in '" + text +
                         "' (expected positive slot counts)");
     }
@@ -123,31 +99,26 @@ std::vector<int> parse_domain_sizes(const std::string& text) {
   if (out.empty()) {
     throw ConfigError("fault_domains list is empty: '" + text + "'");
   }
-  return out;
+  v = std::move(out);
 }
 
-std::vector<schedsim::DomainCrash> parse_domain_crashes(
-    const std::string& text) {
+void from_text(Text text, std::vector<schedsim::DomainCrash>& v) {
   std::vector<schedsim::DomainCrash> out;
   for (const auto& item : split_list(text)) {
     const auto colon = item.find(':');
-    if (colon == std::string::npos) {
+    char* time_end = nullptr;
+    char* domain_end = nullptr;
+    const double time = std::strtod(item.c_str(), &time_end);
+    const long domain =
+        colon == std::string::npos
+            ? -1
+            : std::strtol(item.c_str() + colon + 1, &domain_end, 10);
+    if (colon == std::string::npos || colon == 0 ||
+        time_end != item.c_str() + colon ||
+        colon + 1 == item.size() || domain_end != item.c_str() + item.size() ||
+        domain < 0 || domain > std::numeric_limits<int>::max()) {
       throw ConfigError("bad fault_domain_crash_times entry '" + item +
                         "' in '" + text + "' (expected time:domain)");
-    }
-    const std::string time_part = item.substr(0, colon);
-    const std::string domain_part = item.substr(colon + 1);
-    char* end = nullptr;
-    const double time = std::strtod(time_part.c_str(), &end);
-    if (time_part.empty() || end != time_part.c_str() + time_part.size()) {
-      throw ConfigError("bad crash time '" + time_part +
-                        "' in fault_domain_crash_times entry '" + item + "'");
-    }
-    const long domain = std::strtol(domain_part.c_str(), &end, 10);
-    if (domain_part.empty() ||
-        end != domain_part.c_str() + domain_part.size() || domain < 0) {
-      throw ConfigError("bad domain index '" + domain_part +
-                        "' in fault_domain_crash_times entry '" + item + "'");
     }
     out.push_back({time, static_cast<int>(domain)});
   }
@@ -155,174 +126,409 @@ std::vector<schedsim::DomainCrash> parse_domain_crashes(
     throw ConfigError("fault_domain_crash_times list is empty: '" + text +
                       "'");
   }
-  return out;
+  v = std::move(out);
 }
 
-std::string join_domain_sizes(const std::vector<int>& sizes) {
+/// Shortest fixed-notation text that parses back to exactly `v`: 90 → "90",
+/// 0.12 → "0.12", 3.75 → "3.75".
+std::string show(double v) {
+  char buf[512];  // fits every finite double in fixed notation
+  return std::string(
+      buf, std::to_chars(buf, buf + sizeof buf, v, std::chars_format::fixed)
+               .ptr);
+}
+std::string show(bool v) { return v ? "true" : "false"; }
+template <std::integral T>
+std::string show(T v) {
+  return std::to_string(v);
+}
+std::string show(const std::string& v) { return v; }
+std::string show(Substrate v) { return to_string(v); }
+std::string show(SweepAxis v) { return to_string(v); }
+std::string show(PolicyMode v) { return elastic::to_string(v); }
+std::string show(const schedsim::DomainCrash& v) {
+  return show(v.time_s) + ':' + show(v.domain);
+}
+template <typename T>
+std::string show(const std::vector<T>& items) {
   std::string out;
-  for (const int s : sizes) {
+  for (const auto& item : items) {
     if (!out.empty()) out += ',';
-    out += std::to_string(s);
+    out += show(item);
   }
   return out;
 }
 
-std::string join_domain_crashes(
-    const std::vector<schedsim::DomainCrash>& crashes) {
+std::string join(const std::vector<std::string>& names, const char* sep) {
   std::string out;
-  for (const auto& crash : crashes) {
-    if (!out.empty()) out += ',';
-    out += format_double(crash.time_s,
-                         std::floor(crash.time_s) == crash.time_s ? 0 : 3);
-    out += ':' + std::to_string(crash.domain);
-  }
+  for (const auto& name : names) out += (out.empty() ? "" : sep) + name;
   return out;
 }
 
-std::string join_policies(const std::vector<PolicyMode>& policies) {
-  std::string out;
-  for (const auto mode : policies) {
-    if (!out.empty()) out += ',';
-    out += elastic::to_string(mode);
+/// Parse a field: scalars through Config's strict getters, the other types
+/// through `from_text`.
+template <typename T>
+void parse_into(const Config& cfg, const std::string& key, T& v) {
+  if constexpr (std::is_same_v<T, double>) {
+    v = cfg.get_double(key, v);
+  } else if constexpr (std::is_same_v<T, bool>) {
+    v = cfg.get_bool(key, v);
+  } else if constexpr (std::is_integral_v<T>) {
+    const int value = cfg.get_int(key, 0);
+    if (std::is_unsigned_v<T> && value < 0) {
+      throw ConfigError("bad value for '" + key + "': '" + *cfg.get(key) +
+                        "' (expected a non-negative integer)");
+    }
+    v = static_cast<T>(value);
+  } else {
+    from_text(*cfg.get(key), v);
   }
-  return out;
 }
 
-std::string join_values(const std::vector<double>& values) {
-  std::string out;
-  for (const double v : values) {
-    if (!out.empty()) out += ',';
-    // No int cast: arbitrary user-supplied values may exceed int range.
-    out += format_double(v, std::floor(v) == v ? 0 : 3);
+/// When a key is in effect, besides differing from its default.
+struct When {
+  bool (*holds)(const ScenarioSpec&);
+  const char* what;  ///< the condition in words, for error messages
+  /// A value changed from the default is an error unless `holds`.
+  bool required = false;
+};
+
+using S = ScenarioSpec;
+using F = schedsim::FaultPlan;
+
+constexpr When kAlways{[](const S&) { return true; }, "always"};
+constexpr When kAmr{[](const S& s) { return s.app == "amr"; }, "app=amr"};
+constexpr When kIrregular{
+    [](const S& s) { return s.app == "amr" || s.app == "graph"; },
+    "app=amr or app=graph"};
+constexpr When kGraph{[](const S& s) { return s.app == "graph"; },
+                      "app=graph", true};
+constexpr When kTopology{[](const S& s) { return s.net_model != "flat"; },
+                         "net_model=fattree or dragonfly", true};
+constexpr When kStraggler{
+    [](const S& s) { return s.faults.straggler_at_s >= 0.0; },
+    "straggler_at>=0"};
+constexpr When kCron{[](const S& s) { return s.cron_period_s > 0.0; },
+                     "cron_period>0"};
+
+/// What a field check accepts: numbers in a range, or text in a name list.
+struct Check {
+  double lo = -std::numeric_limits<double>::infinity();
+  double hi = std::numeric_limits<double>::infinity();
+  bool above = false;  ///< `lo` itself is out of range
+  const std::vector<std::string>* names = nullptr;
+};
+constexpr Check kPositive{0.0, std::numeric_limits<double>::infinity(), true};
+constexpr Check kNonNegative{0.0};
+
+template <typename T, typename Owner>
+Owner owner_of(T Owner::*);
+
+/// The field member `M` names, of the spec or of its fault plan.
+template <auto M>
+auto& ref(auto& spec) {
+  if constexpr (std::is_same_v<decltype(owner_of(M)), F>) {
+    return spec.faults.*M;
+  } else {
+    return spec.*M;
   }
-  return out;
+}
+
+/// How a key parses and renders its field, and reads or sets it as a number.
+struct Field {
+  void (*parse)(const Config&, const std::string& key, ScenarioSpec&);
+  std::string (*show)(const ScenarioSpec&);
+  double (*number)(const ScenarioSpec&) = nullptr;  ///< arithmetic fields
+  void (*assign)(ScenarioSpec&, double) = nullptr;  ///< double fields
+};
+
+template <auto M>
+constexpr Field make_field() {
+  using T = std::remove_cvref_t<decltype(ref<M>(std::declval<S&>()))>;
+  Field field{[](const Config& cfg, const std::string& key, S& s) {
+                parse_into(cfg, key, ref<M>(s));
+              },
+              [](const S& s) { return show(ref<M>(s)); }};
+  if constexpr (std::is_arithmetic_v<T>) {
+    field.number = [](const S& s) { return static_cast<double>(ref<M>(s)); };
+  }
+  if constexpr (std::is_same_v<T, double>) {
+    field.assign = [](S& s, double v) { ref<M>(s) = v; };
+  }
+  return field;
+}
+template <auto M>
+constexpr Field field = make_field<M>();
+
+/// The sweep axis a key serves. A double key takes sweep values as they
+/// are; the values of a name-list key (lb_strategy) index its names.
+struct Axis {
+  SweepAxis axis = SweepAxis::kNone;
+  bool recalibrates = false;  ///< points need their own workload calibration
+};
+
+/// One scenario config key. Its row in `make_table()` is the only place the
+/// key's name, field, help, check, in-effect rule and sweep axis are written;
+/// every public function in this file is a loop over the rows.
+struct Key {
+  std::string name;
+  Field field;
+  const char* help;
+  Check check = {};
+  /// When the key is in effect; nullptr: when it differs from its default.
+  /// describe() renders a key that is in effect or changed, and a sweep
+  /// over the key needs it in effect at every point.
+  const When* when = nullptr;
+  Axis sweep = {};
+};
+
+/// The key table: one row per config key, in describe() order.
+/// `axes` lists the sweep_axis names; keys() fills it from these rows.
+std::vector<Key> make_table(const std::vector<std::string>* axes) {
+  using A = SweepAxis;
+  static const std::vector<std::string> apps{"jacobi", "amr", "graph"};
+  static const std::vector<std::string> nets{"flat", "fattree", "dragonfly"};
+  static const std::vector<std::string> classes{"small", "medium", "large",
+                                                "xlarge"};
+  return {
+      {"substrate", field<&S::substrate>,
+       "schedsim | cluster (k8s emulation)", {}, &kAlways},
+      {"nodes", field<&S::nodes>, "emulated cluster nodes", kPositive,
+       &kAlways},
+      {"cpus_per_node", field<&S::cpus_per_node>, "vCPUs per node", kPositive,
+       &kAlways},
+      {"num_jobs", field<&S::num_jobs>, "jobs per random mix", kPositive,
+       &kAlways},
+      {"pods_per_job", field<&S::pods_per_job>,
+       "force rigid job width (min=max replicas); 0 keeps class widths",
+       kNonNegative},
+      {"submission_gap", field<&S::submission_gap_s>,
+       "seconds between submissions", kNonNegative, &kAlways,
+       {A::kSubmissionGap}},
+      {"rescale_gap", field<&S::rescale_gap_s>, "T_rescale_gap in seconds",
+       kNonNegative, &kAlways, {A::kRescaleGap}},
+      {"calibrated", field<&S::calibrated>,
+       "minicharm-calibrated step-time curves", {}, &kAlways},
+      {"app", field<&S::app>,
+       "workload app (amr: adaptive mesh; graph: power-law supersteps)",
+       {.names = &apps}, &kAlways},
+      {"refine_rate", field<&S::refine_rate>,
+       "AMR refinement-event rate per patch/iter", {0.0, 0.5}, &kAmr,
+       {A::kRefineRate, true}},
+      {"graph_vertices", field<&S::graph_vertices>,
+       "graph app vertex count (medium class)", {256, 1 << 22}, &kGraph},
+      {"graph_skew", field<&S::graph_skew>,
+       "power-law exponent of the degree law", {0.0, 1.5}, &kGraph,
+       {A::kGraphSkew, true}},
+      {"lb_strategy", field<&S::lb_strategy>,
+       "runtime LB; as a sweep axis, values index the list",
+       {.names = &charm::load_balancer_names()}, &kIrregular,
+       {A::kLbStrategy, true}},
+      {"net_model", field<&S::net_model>,
+       "graph calibration network; topologies add link contention",
+       {.names = &nets}},
+      {"net_oversub", field<&S::net_oversub>,
+       "core-level oversubscription factor", {1.0, 64.0}, &kTopology,
+       {A::kNetOversub, true}},
+      {"fault_times", field<&F::crash_times>,
+       "comma list of node-crash virtual times (s)"},
+      {"fault_mtbf", field<&F::crash_mtbf_s>,
+       "deterministic crash chain period (s); 0 off", kNonNegative, nullptr,
+       {A::kFaultMtbf}},
+      {"evict_times", field<&F::evict_times>,
+       "comma list of pod-eviction virtual times (s)"},
+      {"straggler_at", field<&F::straggler_at_s>,
+       "time a straggler PE appears (s); <0 off"},
+      {"straggler_factor", field<&F::straggler_factor>,
+       "step-time multiplier of the straggler job", {}, &kStraggler},
+      {"checkpoint_period", field<&F::checkpoint_period_s>,
+       "disk checkpoint cadence (s); 0 = none", kNonNegative, nullptr,
+       {A::kCheckpointPeriod}},
+      {"fault_detection", field<&F::detection_s>,
+       "crash detection delay before recovery (s)"},
+      {"max_failed_nodes", field<&F::max_failed_nodes>,
+       "per-job crash budget (prun); <0 unlimited"},
+      {"fault_domains", field<&F::domain_sizes>,
+       "comma list of failure-domain slot counts (e.g. racks)"},
+      {"fault_domain_crash_times", field<&F::domain_crashes>,
+       "comma list of time:domain crashes, each killing a whole domain"},
+      {"failure_trace_path", field<&F::failure_trace_path>,
+       "CSV failure trace (time_s,kind[,domain])"},
+      {"restore_bandwidth", field<&F::restore_bandwidth>,
+       "concurrent restores before the restore path saturates; 0 = unlimited"},
+      {"trace", field<&S::trace_path>,
+       "CSV job trace to stream (replaces num_jobs)"},
+      {"trace_jobs", field<&S::trace_jobs>,
+       "synthetic streaming trace length; 0 off", kNonNegative},
+      {"cron_period", field<&S::cron_period_s>,
+       "recurring-job submission period (s); 0 off", kNonNegative},
+      {"cron_phase", field<&S::cron_phase_s>, "first cron submission time (s)",
+       kNonNegative, &kCron},
+      {"cron_end", field<&S::cron_end_s>,
+       "last eligible cron submission (s, inclusive)", {}, &kCron},
+      {"cron_class", field<&S::cron_class>, "cron job class",
+       {.names = &classes}, &kCron},
+      {"cron_priority", field<&S::cron_priority>, "cron job priority",
+       kPositive, &kCron},
+      {"queue_timeout", field<&S::queue_timeout_s>,
+       "abandon jobs queued this long (s); <0 off"},
+      {"task_timeout", field<&S::task_timeout_s>,
+       "kill jobs running this long (s); <0 off"},
+      {"policies", field<&S::policies>,
+       "comma list of min_replicas, max_replicas, moldable, elastic; or all",
+       {}, &kAlways},
+      {"sweep_axis", field<&S::axis>, "swept key", {.names = axes}, &kAlways},
+      {"sweep_values", field<&S::axis_values>,
+       "comma list of swept parameter values"},
+      {"repeats", field<&S::repeats>, "random mixes averaged per point",
+       kPositive, &kAlways},
+      {"seed", field<&S::seed>, "base RNG seed (repeat r uses seed + r)", {},
+       &kAlways},
+  };
+}
+
+const std::vector<Key>& keys() {
+  static std::vector<std::string> axes{"none"};
+  static const std::vector<Key> table = [] {
+    std::vector<Key> rows = make_table(&axes);
+    for (const Key& key : rows) {
+      if (key.sweep.axis != SweepAxis::kNone) axes.push_back(key.name);
+    }
+    return rows;
+  }();
+  return table;
+}
+
+/// "" when the key's field passes its check, else "<key>: <what is wrong>".
+std::string check_field(const Key& key, const ScenarioSpec& spec) {
+  const Check& c = key.check;
+  if (c.names != nullptr) {
+    const std::string v = key.field.show(spec);
+    if (std::find(c.names->begin(), c.names->end(), v) != c.names->end()) {
+      return "";
+    }
+    return key.name + ": unknown '" + v + "'; known: " + join(*c.names, " ");
+  }
+  if (key.field.number == nullptr) return "";
+  const double v = key.field.number(spec);
+  if ((c.above ? v > c.lo : v >= c.lo) && v <= c.hi) return "";
+  return key.name + ": must be " +
+         (c.hi == std::numeric_limits<double>::infinity()
+              ? (c.above ? "> " : ">= ") + show(c.lo)
+              : "in [" + show(c.lo) + ", " + show(c.hi) + "]");
+}
+
+const ScenarioSpec& defaults() {
+  static const ScenarioSpec spec;
+  return spec;
+}
+
+bool changed(const Key& key, const ScenarioSpec& spec) {
+  // Numbers compare as numbers: rendering a double is not free.
+  if (const auto number = key.field.number) {
+    return number(spec) != number(defaults());
+  }
+  return key.field.show(spec) != key.field.show(defaults());
+}
+
+bool in_effect(const Key& key, const ScenarioSpec& spec) {
+  return key.when != nullptr ? key.when->holds(spec) : changed(key, spec);
+}
+
+/// The row sweeping `axis` (which is not kNone).
+const Key& axis_key(SweepAxis axis) {
+  for (const Key& key : keys()) {
+    if (key.sweep.axis == axis) return key;
+  }
+  throw InvariantError("no config key sweeps axis " +
+                       std::to_string(static_cast<int>(axis)));
 }
 
 }  // namespace
+
+std::string to_string(SweepAxis a) {
+  return a == SweepAxis::kNone ? "none" : axis_key(a).name;
+}
+
+SweepAxis sweep_axis_from_string(const std::string& name) {
+  std::string known = "none";
+  if (name == known) return SweepAxis::kNone;
+  for (const Key& key : keys()) {
+    if (key.sweep.axis == SweepAxis::kNone) continue;
+    if (key.name == name) return key.sweep.axis;
+    known += " " + key.name;
+  }
+  throw ConfigError("unknown sweep axis '" + name + "'; known: " + known);
+}
+
+bool axis_affects_workloads(SweepAxis a) {
+  return a != SweepAxis::kNone && axis_key(a).sweep.recalibrates;
+}
+
+ScenarioSpec at_axis_value(const ScenarioSpec& spec, double value) {
+  ScenarioSpec point = spec;
+  if (spec.axis == SweepAxis::kNone) return point;
+  const Key& key = axis_key(spec.axis);
+  if (key.field.assign != nullptr) {
+    key.field.assign(point, value);
+    return point;
+  }
+  // Any value that is no index parses as its own text, which the key's check
+  // then rejects.
+  const auto& names = *key.check.names;
+  const bool index = std::floor(value) == value && value >= 0.0 &&
+                     value < static_cast<double>(names.size());
+  Config text;
+  text.set(key.name, index ? names[static_cast<std::size_t>(value)]
+                           : show(value));
+  key.field.parse(text, key.name, point);
+  return point;
+}
 
 void ScenarioSpec::validate() const {
   auto fail = [this](const std::string& what) {
     throw ConfigError("scenario '" + name + "': " + what);
   };
-  if (nodes <= 0) fail("nodes must be positive");
-  if (cpus_per_node <= 0) fail("cpus_per_node must be positive");
-  if (num_jobs <= 0) fail("num_jobs must be positive");
-  if (pods_per_job < 0) fail("pods_per_job must be non-negative");
-  if (submission_gap_s < 0.0) fail("submission_gap must be non-negative");
-  if (rescale_gap_s < 0.0) fail("rescale_gap must be non-negative");
-  if (repeats <= 0) fail("repeats must be positive");
-  if (policies.empty()) fail("policies must not be empty");
-  if (axis != SweepAxis::kNone && axis_values.empty()) {
-    fail("sweep axis '" + to_string(axis) + "' needs sweep_values");
+  for (const Key& key : keys()) {
+    if (const std::string error = check_field(key, *this); !error.empty()) {
+      fail(error);
+    }
+    if (key.when != nullptr && key.when->required && changed(key, *this) &&
+        !key.when->holds(*this)) {
+      fail(key.name + " requires " + key.when->what);
+    }
   }
   if (axis == SweepAxis::kNone && !axis_values.empty()) {
     fail("sweep_values given but sweep_axis is 'none'");
   }
-  if (app != "jacobi" && app != "amr" && app != "graph") {
-    fail("unknown app '" + app + "'; known: jacobi amr graph");
+  if (axis != SweepAxis::kNone) {
+    if (axis_values.empty()) {
+      fail("sweep axis '" + to_string(axis) + "' needs sweep_values");
+    }
+    // Each point is checked by the same row that checks the scalar key.
+    const Key& key = axis_key(axis);
+    for (const double v : axis_values) {
+      const ScenarioSpec point = at_axis_value(*this, v);
+      std::string error = check_field(key, point);
+      if (error.empty() && !in_effect(key, point)) {
+        error = key.when != nullptr ? "needs " + std::string(key.when->what)
+                                    : "is the default, which has no effect";
+      }
+      if (!error.empty()) {
+        fail("axis '" + key.name + "' value " + show(v) + ": " + error);
+      }
+    }
   }
-  if (refine_rate < 0.0 || refine_rate > 0.5) {
-    fail("refine_rate must be in [0, 0.5]");
-  }
-  if (net_model != "flat" && net_model != "fattree" &&
-      net_model != "dragonfly") {
-    fail("unknown net_model '" + net_model +
-         "'; known: flat fattree dragonfly");
-  }
+
+  // Checks spanning several keys, or whole lists.
+  if (policies.empty()) fail("policies must not be empty");
   if (net_model != "flat" && app != "graph") {
     fail("net_model '" + net_model + "' requires app=graph (only the graph "
          "calibration routes through the topology seam)");
   }
-  if (net_oversub != 1.0 && net_model == "flat") {
-    fail("net_oversub needs a topology: set net_model=fattree or dragonfly");
-  }
-  if (net_oversub < 1.0 || net_oversub > 64.0) {
-    fail("net_oversub must be in [1, 64]");
-  }
-  if (graph_vertices < 256 || graph_vertices > (1 << 22)) {
-    fail("graph_vertices must be in [256, 4194304]");
-  }
-  if (graph_skew < 0.0 || graph_skew > 1.5) {
-    fail("graph_skew must be in [0, 1.5]");
-  }
-  if (app != "graph" && (graph_vertices != 4096 || graph_skew != 0.8)) {
-    fail("graph_vertices/graph_skew require app=graph");
-  }
-  const auto& lb_names = charm::load_balancer_names();
-  if (std::find(lb_names.begin(), lb_names.end(), lb_strategy) ==
-      lb_names.end()) {
-    fail("unknown lb_strategy '" + lb_strategy +
-         "'; known: null greedy refine commrefine");
-  }
-  if (axis == SweepAxis::kLbStrategy) {
-    for (const double v : axis_values) {
-      if (std::floor(v) != v || v < 0.0 ||
-          v >= static_cast<double>(lb_names.size())) {
-        fail("lb_strategy sweep values index load_balancer_names(): integers "
-             "in [0, " + std::to_string(lb_names.size()) + ")");
-      }
-    }
-  }
-  if (axis == SweepAxis::kRefineRate) {
-    for (const double v : axis_values) {
-      if (v < 0.0 || v > 0.5) {
-        fail("refine_rate sweep values must be in [0, 0.5]");
-      }
-    }
-  }
-  if (axis == SweepAxis::kRefineRate) {
-    if (app != "amr") fail("axis '" + to_string(axis) + "' requires app=amr");
-  }
-  if (axis == SweepAxis::kLbStrategy) {
-    if (app != "amr" && app != "graph") {
-      fail("axis '" + to_string(axis) + "' requires app=amr or app=graph");
-    }
-  }
-  if (axis == SweepAxis::kGraphSkew) {
-    if (app != "graph") {
-      fail("axis '" + to_string(axis) + "' requires app=graph");
-    }
-    for (const double v : axis_values) {
-      if (v < 0.0 || v > 1.5) {
-        fail("graph_skew sweep values must be in [0, 1.5]");
-      }
-    }
-  }
-  if (axis == SweepAxis::kNetOversub) {
-    if (app != "graph") {
-      fail("axis '" + to_string(axis) + "' requires app=graph");
-    }
-    if (net_model == "flat") {
-      fail("axis 'net_oversub' needs a topology: set net_model=fattree or "
-           "dragonfly");
-    }
-    for (const double v : axis_values) {
-      if (v < 1.0 || v > 64.0) {
-        fail("net_oversub sweep values must be in [1, 64]");
-      }
-    }
-  }
-  if (axis == SweepAxis::kFaultMtbf || axis == SweepAxis::kCheckpointPeriod) {
-    for (const double v : axis_values) {
-      if (v <= 0.0) {
-        fail("axis '" + to_string(axis) + "' sweep values must be positive");
-      }
-    }
-  }
-  if (trace_jobs < 0) fail("trace_jobs must be non-negative");
-  if (cron_period_s < 0.0) fail("cron_period must be non-negative");
-  if (cron_period_s > 0.0) {
-    if (cron_phase_s < 0.0) fail("cron_phase must be non-negative");
-    if (cron_end_s < cron_phase_s) {
-      fail("cron_end must be >= cron_phase (the cron window is "
-           "[cron_phase, cron_end])");
-    }
-    try {
-      elastic::job_class_from_string(cron_class);
-    } catch (const std::exception& e) {
-      fail(e.what());
-    }
-    if (cron_priority < 1) fail("cron_priority must be >= 1");
+  if (cron_period_s > 0.0 && cron_end_s < cron_phase_s) {
+    fail("cron_end must be >= cron_phase (the cron window is "
+         "[cron_phase, cron_end])");
   }
   try {
     faults.validate();
@@ -330,7 +536,7 @@ void ScenarioSpec::validate() const {
     fail(std::string("bad fault plan: ") + e.what());
   }
   if (!faults.domain_sizes.empty()) {
-    int covered = 0;
+    long long covered = 0;  // wide: each size may be up to INT_MAX
     for (const int s : faults.domain_sizes) covered += s;
     if (covered > total_slots()) {
       fail("fault_domains cover " + std::to_string(covered) +
@@ -341,242 +547,60 @@ void ScenarioSpec::validate() const {
 }
 
 const std::vector<std::string>& spec_config_keys() {
-  static const std::vector<std::string> kKeys{
-      "substrate",      "nodes",      "cpus_per_node", "num_jobs",
-      "pods_per_job",
-      "submission_gap", "rescale_gap", "calibrated",   "policies",
-      "app",            "refine_rate", "lb_strategy",
-      "net_model",      "net_oversub", "graph_vertices", "graph_skew",
-      "fault_times",    "fault_mtbf", "evict_times",   "straggler_at",
-      "straggler_factor", "checkpoint_period", "fault_detection",
-      "max_failed_nodes",
-      "fault_domains",  "fault_domain_crash_times", "failure_trace_path",
-      "restore_bandwidth",
-      "trace",          "trace_jobs", "cron_period",   "cron_phase",
-      "cron_end",       "cron_class", "cron_priority", "queue_timeout",
-      "task_timeout",
-      "sweep_axis",     "sweep_values", "repeats",     "seed"};
-  return kKeys;
+  static const std::vector<std::string> names = [] {
+    std::vector<std::string> out;
+    for (const Key& key : keys()) out.push_back(key.name);
+    return out;
+  }();
+  return names;
 }
 
 std::string spec_config_help() {
-  return
-      "  substrate=schedsim      schedsim | cluster (k8s emulation)\n"
-      "  nodes=4                 emulated cluster nodes\n"
-      "  cpus_per_node=16        vCPUs per node\n"
-      "  num_jobs=16             jobs per random mix\n"
-      "  pods_per_job=0          force rigid job width (min=max replicas);\n"
-      "                          0 keeps class-driven widths\n"
-      "  submission_gap=90       seconds between submissions\n"
-      "  rescale_gap=180         T_rescale_gap in seconds\n"
-      "  calibrated=true         minicharm-calibrated step-time curves\n"
-      "  policies=all            comma list: min_replicas,max_replicas,"
-      "moldable,elastic\n"
-      "  app=jacobi              jacobi | amr (adaptive mesh) | graph\n"
-      "                          (power-law graph supersteps)\n"
-      "  refine_rate=0.12        AMR refinement-event rate per patch/iter\n"
-      "  lb_strategy=greedy      runtime LB: null | greedy | refine |\n"
-      "                          commrefine (communication-aware)\n"
-      "  net_model=flat          flat | fattree | dragonfly (graph only;\n"
-      "                          topology models add link contention)\n"
-      "  net_oversub=1           core-level oversubscription factor\n"
-      "                          (needs net_model=fattree|dragonfly)\n"
-      "  graph_vertices=4096     graph app vertex count (medium class)\n"
-      "  graph_skew=0.8          power-law exponent of the degree law\n"
-      "  fault_times=            comma list of node-crash virtual times (s)\n"
-      "  fault_mtbf=0            deterministic crash chain period (s); 0 off\n"
-      "  evict_times=            comma list of pod-eviction virtual times (s)\n"
-      "  straggler_at=-1         time a straggler PE appears (s); <0 off\n"
-      "  straggler_factor=1      step-time multiplier of the straggler job\n"
-      "  checkpoint_period=0     disk checkpoint cadence (s); 0 = none\n"
-      "  fault_detection=5       crash detection delay before recovery (s)\n"
-      "  max_failed_nodes=-1     per-job crash budget (prun); <0 unlimited\n"
-      "  fault_domains=          comma list of failure-domain slot counts\n"
-      "                          (consecutive slot groups, e.g. racks)\n"
-      "  fault_domain_crash_times=  comma list of time:domain correlated\n"
-      "                          crashes (kill every PE of the domain)\n"
-      "  failure_trace_path=     CSV failure trace (time_s,kind[,domain])\n"
-      "  restore_bandwidth=0     concurrent restores sharing the restore\n"
-      "                          path before it saturates; 0 = unlimited\n"
-      "  trace=                  CSV job trace to stream (replaces num_jobs)\n"
-      "  trace_jobs=0            synthetic streaming trace length; 0 off\n"
-      "  cron_period=0           recurring-job submission period (s); 0 off\n"
-      "  cron_phase=0            first cron submission time (s)\n"
-      "  cron_end=0              last eligible cron submission (s, inclusive)\n"
-      "  cron_class=medium       cron job class: small|medium|large|xlarge\n"
-      "  cron_priority=3         cron job priority\n"
-      "  queue_timeout=-1        abandon jobs queued this long (s); <0 off\n"
-      "  task_timeout=-1         kill jobs running this long (s); <0 off\n"
-      "  sweep_axis=none         none | submission_gap | rescale_gap |\n"
-      "                          refine_rate | lb_strategy | fault_mtbf |\n"
-      "                          checkpoint_period\n"
-      "  sweep_values=...        comma list of swept parameter values\n"
-      "  repeats=100             random mixes averaged per point\n"
-      "  seed=2025               base RNG seed (repeat r uses seed + r)\n";
+  // "  key=default", then the help words from column 26, wrapped at 78.
+  constexpr std::size_t kColumn = 26;
+  constexpr std::size_t kWidth = 78;
+  std::string out;
+  for (const Key& key : keys()) {
+    std::string help = key.help;
+    if (key.check.names != nullptr) {
+      help += "; one of: " + join(*key.check.names, " | ");
+    }
+    if (key.when != nullptr && key.when->required) {
+      help += " (needs " + std::string(key.when->what) + ")";
+    }
+    std::string line = "  " + key.name + '=' + key.field.show(defaults());
+    std::istringstream words(help);
+    for (std::string word; words >> word;) {
+      if (line.size() + 1 + word.size() > kWidth) {
+        out += line + '\n';
+        line.clear();
+      }
+      line.resize(std::max(line.size() + 1, kColumn), ' ');
+      line += word;
+    }
+    out += line + '\n';
+  }
+  return out;
 }
 
 ScenarioSpec spec_from_config(const Config& cfg, ScenarioSpec base) {
   ScenarioSpec spec = std::move(base);
-  if (auto v = cfg.get("substrate")) spec.substrate = substrate_from_string(*v);
-  spec.nodes = cfg.get_int("nodes", spec.nodes);
-  spec.cpus_per_node = cfg.get_int("cpus_per_node", spec.cpus_per_node);
-  spec.num_jobs = cfg.get_int("num_jobs", spec.num_jobs);
-  spec.pods_per_job = cfg.get_int("pods_per_job", spec.pods_per_job);
-  spec.submission_gap_s = cfg.get_double("submission_gap", spec.submission_gap_s);
-  spec.rescale_gap_s = cfg.get_double("rescale_gap", spec.rescale_gap_s);
-  spec.calibrated = cfg.get_bool("calibrated", spec.calibrated);
-  if (auto v = cfg.get("app")) spec.app = *v;
-  spec.refine_rate = cfg.get_double("refine_rate", spec.refine_rate);
-  if (auto v = cfg.get("lb_strategy")) spec.lb_strategy = *v;
-  if (auto v = cfg.get("net_model")) spec.net_model = *v;
-  spec.net_oversub = cfg.get_double("net_oversub", spec.net_oversub);
-  spec.graph_vertices = cfg.get_int("graph_vertices", spec.graph_vertices);
-  spec.graph_skew = cfg.get_double("graph_skew", spec.graph_skew);
-  if (auto v = cfg.get("fault_times")) spec.faults.crash_times = parse_values(*v);
-  spec.faults.crash_mtbf_s =
-      cfg.get_double("fault_mtbf", spec.faults.crash_mtbf_s);
-  if (auto v = cfg.get("evict_times")) spec.faults.evict_times = parse_values(*v);
-  spec.faults.straggler_at_s =
-      cfg.get_double("straggler_at", spec.faults.straggler_at_s);
-  spec.faults.straggler_factor =
-      cfg.get_double("straggler_factor", spec.faults.straggler_factor);
-  spec.faults.checkpoint_period_s =
-      cfg.get_double("checkpoint_period", spec.faults.checkpoint_period_s);
-  spec.faults.detection_s =
-      cfg.get_double("fault_detection", spec.faults.detection_s);
-  spec.faults.max_failed_nodes =
-      cfg.get_int("max_failed_nodes", spec.faults.max_failed_nodes);
-  if (auto v = cfg.get("fault_domains")) {
-    spec.faults.domain_sizes = parse_domain_sizes(*v);
+  for (const Key& key : keys()) {
+    if (cfg.has(key.name)) {
+      key.field.parse(cfg, key.name, spec);
+    }
   }
-  if (auto v = cfg.get("fault_domain_crash_times")) {
-    spec.faults.domain_crashes = parse_domain_crashes(*v);
-  }
-  if (auto v = cfg.get("failure_trace_path")) {
-    spec.faults.failure_trace_path = *v;
-  }
-  spec.faults.restore_bandwidth =
-      cfg.get_double("restore_bandwidth", spec.faults.restore_bandwidth);
-  if (auto v = cfg.get("trace")) spec.trace_path = *v;
-  spec.trace_jobs = cfg.get_int("trace_jobs", static_cast<int>(spec.trace_jobs));
-  spec.cron_period_s = cfg.get_double("cron_period", spec.cron_period_s);
-  spec.cron_phase_s = cfg.get_double("cron_phase", spec.cron_phase_s);
-  spec.cron_end_s = cfg.get_double("cron_end", spec.cron_end_s);
-  if (auto v = cfg.get("cron_class")) spec.cron_class = *v;
-  spec.cron_priority = cfg.get_int("cron_priority", spec.cron_priority);
-  spec.queue_timeout_s = cfg.get_double("queue_timeout", spec.queue_timeout_s);
-  spec.task_timeout_s = cfg.get_double("task_timeout", spec.task_timeout_s);
-  if (auto v = cfg.get("policies")) spec.policies = parse_policies(*v);
-  if (auto v = cfg.get("sweep_axis")) spec.axis = sweep_axis_from_string(*v);
-  if (auto v = cfg.get("sweep_values")) spec.axis_values = parse_values(*v);
-  spec.seed = static_cast<unsigned>(
-      cfg.get_int("seed", static_cast<int>(spec.seed)));
-  spec.repeats = cfg.get_int("repeats", spec.repeats);
   spec.validate();
   return spec;
 }
 
 std::string describe(const ScenarioSpec& spec) {
-  std::string out = "substrate=" + to_string(spec.substrate);
-  out += " nodes=" + std::to_string(spec.nodes);
-  out += " cpus_per_node=" + std::to_string(spec.cpus_per_node);
-  out += " num_jobs=" + std::to_string(spec.num_jobs);
-  if (spec.pods_per_job > 0) {
-    out += " pods_per_job=" + std::to_string(spec.pods_per_job);
+  std::string out;
+  for (const Key& key : keys()) {
+    if (!in_effect(key, spec) && !changed(key, spec)) continue;
+    if (!out.empty()) out += ' ';
+    out += key.name + '=' + key.field.show(spec);
   }
-  out += " submission_gap=" + format_double(spec.submission_gap_s, 0);
-  out += " rescale_gap=" + format_double(spec.rescale_gap_s, 0);
-  out += std::string(" calibrated=") + (spec.calibrated ? "true" : "false");
-  out += " app=" + spec.app;
-  if (spec.app == "amr") {
-    out += " refine_rate=" + format_double(spec.refine_rate, 3);
-    out += " lb_strategy=" + spec.lb_strategy;
-  }
-  // Graph/network keys render only when set, so specs predating the graph
-  // app and the topology seam describe() byte-identically (recorded bench
-  // configs).
-  if (spec.app == "graph") {
-    out += " graph_vertices=" + std::to_string(spec.graph_vertices);
-    out += " graph_skew=" + format_double(spec.graph_skew, 3);
-    out += " lb_strategy=" + spec.lb_strategy;
-  }
-  if (spec.net_model != "flat") {
-    out += " net_model=" + spec.net_model;
-    out += " net_oversub=" +
-           format_double(spec.net_oversub,
-                         std::floor(spec.net_oversub) == spec.net_oversub ? 0
-                                                                          : 3);
-  }
-  if (!spec.faults.empty()) {
-    if (!spec.faults.crash_times.empty()) {
-      out += " fault_times=" + join_values(spec.faults.crash_times);
-    }
-    if (spec.faults.crash_mtbf_s > 0.0) {
-      out += " fault_mtbf=" + format_double(spec.faults.crash_mtbf_s, 0);
-    }
-    if (!spec.faults.evict_times.empty()) {
-      out += " evict_times=" + join_values(spec.faults.evict_times);
-    }
-    if (spec.faults.straggler_at_s >= 0.0) {
-      out += " straggler_at=" + format_double(spec.faults.straggler_at_s, 0);
-      out += " straggler_factor=" +
-             format_double(spec.faults.straggler_factor, 2);
-    }
-    if (spec.faults.checkpoint_period_s > 0.0) {
-      out += " checkpoint_period=" +
-             format_double(spec.faults.checkpoint_period_s, 0);
-    }
-    if (spec.faults.max_failed_nodes >= 0) {
-      out += " max_failed_nodes=" +
-             std::to_string(spec.faults.max_failed_nodes);
-    }
-    // Correlated-failure keys render only when set, so specs predating
-    // failure domains describe() byte-identically (recorded bench configs).
-    if (!spec.faults.domain_sizes.empty()) {
-      out += " fault_domains=" + join_domain_sizes(spec.faults.domain_sizes);
-    }
-    if (!spec.faults.domain_crashes.empty()) {
-      out += " fault_domain_crash_times=" +
-             join_domain_crashes(spec.faults.domain_crashes);
-    }
-    if (!spec.faults.failure_trace_path.empty()) {
-      out += " failure_trace_path=" + spec.faults.failure_trace_path;
-    }
-    if (spec.faults.restore_bandwidth > 0.0) {
-      out += " restore_bandwidth=" +
-             format_double(spec.faults.restore_bandwidth,
-                           std::floor(spec.faults.restore_bandwidth) ==
-                                   spec.faults.restore_bandwidth
-                               ? 0
-                               : 3);
-    }
-  }
-  // Trace keys render only when set, so specs predating the trace
-  // subsystem describe() byte-identically (recorded bench configs).
-  if (!spec.trace_path.empty()) out += " trace=" + spec.trace_path;
-  if (spec.trace_jobs > 0) {
-    out += " trace_jobs=" + std::to_string(spec.trace_jobs);
-  }
-  if (spec.cron_period_s > 0.0) {
-    out += " cron_period=" + format_double(spec.cron_period_s, 0);
-    out += " cron_phase=" + format_double(spec.cron_phase_s, 0);
-    out += " cron_end=" + format_double(spec.cron_end_s, 0);
-    out += " cron_class=" + spec.cron_class;
-    out += " cron_priority=" + std::to_string(spec.cron_priority);
-  }
-  if (spec.queue_timeout_s >= 0.0) {
-    out += " queue_timeout=" + format_double(spec.queue_timeout_s, 0);
-  }
-  if (spec.task_timeout_s >= 0.0) {
-    out += " task_timeout=" + format_double(spec.task_timeout_s, 0);
-  }
-  out += " policies=" + join_policies(spec.policies);
-  out += " sweep_axis=" + to_string(spec.axis);
-  if (!spec.axis_values.empty()) {
-    out += " sweep_values=" + join_values(spec.axis_values);
-  }
-  out += " repeats=" + std::to_string(spec.repeats);
-  out += " seed=" + std::to_string(spec.seed);
   return out;
 }
 

@@ -18,14 +18,9 @@ std::string to_string(Substrate s);
 /// Parse "schedsim" / "cluster"; throws ConfigError on anything else.
 Substrate substrate_from_string(const std::string& name);
 
-/// The parameter an experiment sweeps, one point per value. kRefineRate,
-/// kLbStrategy, kGraphSkew and kNetOversub re-calibrate the workload models
-/// per point: kRefineRate sweeps the AMR refinement-event rate, kLbStrategy
-/// sweeps the runtime load balancer (values index
-/// `charm::load_balancer_names()`), kGraphSkew sweeps the graph app's
-/// power-law exponent and kNetOversub the topology oversubscription factor.
-/// kFaultMtbf and kCheckpointPeriod sweep the failure plan (crash MTBF and
-/// checkpoint cadence in seconds); they change injection, not calibration.
+/// The parameter an experiment sweeps, one point per value. Each axis sweeps
+/// the config key of the same name (kLbStrategy values index
+/// `charm::load_balancer_names()`).
 enum class SweepAxis {
   kNone,
   kSubmissionGap,
@@ -39,9 +34,8 @@ enum class SweepAxis {
 };
 
 std::string to_string(SweepAxis a);
-/// Parse "none" / "submission_gap" / "rescale_gap" / "refine_rate" /
-/// "lb_strategy" / "fault_mtbf" / "checkpoint_period" / "graph_skew" /
-/// "net_oversub"; throws ConfigError on anything else.
+/// Parse "none" or the config key an axis sweeps ("submission_gap", ...);
+/// throws ConfigError listing every axis on anything else.
 SweepAxis sweep_axis_from_string(const std::string& name);
 
 /// True for axes whose value changes the workload calibration itself (the

@@ -9,8 +9,8 @@
 #include <thread>
 #include <utility>
 
-#include "charm/load_balancer.hpp"
 #include "common/error.hpp"
+#include "scenario/axis_point.hpp"
 
 namespace ehpc::scenario {
 
@@ -61,41 +61,6 @@ void parallel_for(std::size_t n, int threads,
   if (first_error) std::rethrow_exception(first_error);
 }
 
-/// Overlay one sweep-axis value onto a spec.
-ScenarioSpec at_axis_value(const ScenarioSpec& spec, double value) {
-  ScenarioSpec point = spec;
-  switch (spec.axis) {
-    case SweepAxis::kNone:
-      break;
-    case SweepAxis::kSubmissionGap:
-      point.submission_gap_s = value;
-      break;
-    case SweepAxis::kRescaleGap:
-      point.rescale_gap_s = value;
-      break;
-    case SweepAxis::kRefineRate:
-      point.refine_rate = value;
-      break;
-    case SweepAxis::kLbStrategy:
-      point.lb_strategy =
-          charm::load_balancer_names().at(static_cast<std::size_t>(value));
-      break;
-    case SweepAxis::kFaultMtbf:
-      point.faults.crash_mtbf_s = value;
-      break;
-    case SweepAxis::kCheckpointPeriod:
-      point.faults.checkpoint_period_s = value;
-      break;
-    case SweepAxis::kGraphSkew:
-      point.graph_skew = value;
-      break;
-    case SweepAxis::kNetOversub:
-      point.net_oversub = value;
-      break;
-  }
-  return point;
-}
-
 }  // namespace
 
 SweepResult run_sweep(const ScenarioSpec& spec, int threads) {
@@ -110,8 +75,8 @@ SweepResult run_sweep(const ScenarioSpec& spec, int threads) {
 
   // Calibrate workload models before fanning out, so the parallel cells
   // only read shared immutable state. Axes that change the calibration
-  // itself (refine_rate, lb_strategy, graph_skew, net_oversub) get one
-  // model set per point; everything else shares a single set.
+  // itself get one model set per point; everything else shares a single
+  // set.
   std::vector<std::map<elastic::JobClass, elastic::Workload>> workloads;
   if (axis_affects_workloads(spec.axis)) {
     workloads.reserve(num_points);

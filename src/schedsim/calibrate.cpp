@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <mutex>
 #include <tuple>
-#include <utility>
 
 #include "apps/calibration.hpp"
 #include "net/network_model.hpp"
@@ -12,6 +11,23 @@ namespace ehpc::schedsim {
 
 using elastic::JobClass;
 using elastic::Workload;
+
+namespace {
+
+/// Process-wide memo of one deterministic calibration, keyed by its inputs:
+/// sweeps and tests re-request the same points many times. The lock is held
+/// across `measure`, so concurrent callers of one key wait instead of
+/// measuring twice. Each call site (lambda type) gets its own memo.
+template <typename Key, typename Measure>
+std::map<JobClass, Workload> memoized(const Key& key, Measure measure) {
+  static std::mutex mutex;
+  static std::map<Key, std::map<JobClass, Workload>> cache;
+  const std::lock_guard<std::mutex> lock(mutex);
+  if (auto it = cache.find(key); it != cache.end()) return it->second;
+  return cache.emplace(key, measure()).first->second;
+}
+
+}  // namespace
 
 std::map<JobClass, Workload> analytic_workloads() {
   std::map<JobClass, Workload> out;
@@ -66,33 +82,24 @@ apps::AmrConfig amr_config_for(JobClass c, double refine_rate) {
 
 std::map<JobClass, Workload> amr_calibrated_workloads(
     double refine_rate, const std::string& lb_strategy) {
-  // Memoized: sweeps and tests re-request the same (rate, strategy) pairs,
-  // and the measurement is deterministic, so cache process-wide. The mutex
-  // is held across the measurement — concurrent callers of the same key
-  // wait instead of measuring twice.
-  static std::mutex mutex;
-  static std::map<std::pair<double, std::string>, std::map<JobClass, Workload>>
-      cache;
-  const std::lock_guard<std::mutex> lock(mutex);
-  const auto key = std::make_pair(refine_rate, lb_strategy);
-  if (auto it = cache.find(key); it != cache.end()) return it->second;
-
-  std::map<JobClass, Workload> out = analytic_workloads();
-  const std::vector<int> replicas{1, 4, 16, 64};
-  charm::RuntimeConfig rc;
-  rc.load_balancer = lb_strategy;
-  for (auto& [cls, workload] : out) {
-    const apps::AmrConfig config = amr_config_for(cls, refine_rate);
-    workload.time_per_step = apps::scaling_curve(
-        apps::measure_amr_scaling(config, replicas, /*lb_period=*/4, rc));
-    // LB behaviour per rescale: measured at a mid-size PE count where the
-    // front-driven imbalance is pronounced.
-    const apps::LbProfile profile =
-        apps::measure_amr_lb_profile(config, /*replicas=*/16, /*lb_period=*/4, rc);
-    workload.lb.post_ratio = profile.post_ratio;
-    workload.lb.migrations_per_step = profile.migrations_per_step;
-  }
-  return cache.emplace(key, std::move(out)).first->second;
+  return memoized(std::make_tuple(refine_rate, lb_strategy), [&] {
+    std::map<JobClass, Workload> out = analytic_workloads();
+    const std::vector<int> replicas{1, 4, 16, 64};
+    charm::RuntimeConfig rc;
+    rc.load_balancer = lb_strategy;
+    for (auto& [cls, workload] : out) {
+      const apps::AmrConfig config = amr_config_for(cls, refine_rate);
+      workload.time_per_step = apps::scaling_curve(
+          apps::measure_amr_scaling(config, replicas, /*lb_period=*/4, rc));
+      // LB behaviour per rescale: measured at a mid-size PE count where the
+      // front-driven imbalance is pronounced.
+      const apps::LbProfile profile = apps::measure_amr_lb_profile(
+          config, /*replicas=*/16, /*lb_period=*/4, rc);
+      workload.lb.post_ratio = profile.post_ratio;
+      workload.lb.migrations_per_step = profile.migrations_per_step;
+    }
+    return out;
+  });
 }
 
 apps::GraphConfig graph_config_for(JobClass c, int vertices, double skew) {
@@ -127,38 +134,30 @@ apps::GraphConfig graph_config_for(JobClass c, int vertices, double skew) {
 std::map<JobClass, Workload> graph_calibrated_workloads(
     int vertices, double skew, const std::string& lb_strategy,
     const std::string& net_model, double net_oversub) {
-  // Memoized like the AMR calibration: the measurement is deterministic in
-  // the key, and sweeps re-request the same point many times.
-  static std::mutex mutex;
-  static std::map<
-      std::tuple<int, double, std::string, std::string, double>,
-      std::map<JobClass, Workload>>
-      cache;
-  const std::lock_guard<std::mutex> lock(mutex);
   const auto key =
       std::make_tuple(vertices, skew, lb_strategy, net_model, net_oversub);
-  if (auto it = cache.find(key); it != cache.end()) return it->second;
-
-  std::map<JobClass, Workload> out = analytic_workloads();
-  const std::vector<int> replicas{1, 4, 16, 64};
-  charm::RuntimeConfig rc;
-  rc.load_balancer = lb_strategy;
-  // 4 PEs per node so 64 replicas span 16 nodes (4 racks of the radix-4
-  // topology): rack locality actually varies with placement.
-  rc.pes_per_node = 4;
-  rc.network = net::make_network_model(net_model, net_oversub);
-  for (auto& [cls, workload] : out) {
-    const apps::GraphConfig config = graph_config_for(cls, vertices, skew);
-    workload.time_per_step = apps::scaling_curve(
-        apps::measure_graph_scaling(config, replicas, /*lb_period=*/4, rc));
-    // LB behaviour per rescale: measured where the hub parts are spread
-    // over multiple racks.
-    const apps::LbProfile profile = apps::measure_graph_lb_profile(
-        config, /*replicas=*/16, /*lb_period=*/4, rc);
-    workload.lb.post_ratio = profile.post_ratio;
-    workload.lb.migrations_per_step = profile.migrations_per_step;
-  }
-  return cache.emplace(key, std::move(out)).first->second;
+  return memoized(key, [&] {
+    std::map<JobClass, Workload> out = analytic_workloads();
+    const std::vector<int> replicas{1, 4, 16, 64};
+    charm::RuntimeConfig rc;
+    rc.load_balancer = lb_strategy;
+    // 4 PEs per node so 64 replicas span 16 nodes (4 racks of the radix-4
+    // topology): rack locality actually varies with placement.
+    rc.pes_per_node = 4;
+    rc.network = net::make_network_model(net_model, net_oversub);
+    for (auto& [cls, workload] : out) {
+      const apps::GraphConfig config = graph_config_for(cls, vertices, skew);
+      workload.time_per_step = apps::scaling_curve(
+          apps::measure_graph_scaling(config, replicas, /*lb_period=*/4, rc));
+      // LB behaviour per rescale: measured where the hub parts are spread
+      // over multiple racks.
+      const apps::LbProfile profile = apps::measure_graph_lb_profile(
+          config, /*replicas=*/16, /*lb_period=*/4, rc);
+      workload.lb.post_ratio = profile.post_ratio;
+      workload.lb.migrations_per_step = profile.migrations_per_step;
+    }
+    return out;
+  });
 }
 
 }  // namespace ehpc::schedsim

@@ -41,6 +41,49 @@ TEST(Config, BoolParsing) {
   EXPECT_FALSE(c.get_bool("d", true));
 }
 
+TEST(Config, BoolAcceptsEverySpelling) {
+  Config c = parse({"a=1", "b=on", "c=Yes", "d=0", "e=no", "f=OFF", "--g"});
+  for (const char* key : {"a", "b", "c", "g"}) {
+    EXPECT_TRUE(c.get_bool(key, false)) << key;
+  }
+  for (const char* key : {"d", "e", "f"}) {
+    EXPECT_FALSE(c.get_bool(key, true)) << key;
+  }
+}
+
+TEST(Config, MalformedTypedValuesThrowNamingKeyAndValue) {
+  Config c = parse({"i=16x", "j=", "k=99999999999", "x=abc", "y=", "z=2.5q",
+                    "w=1e999", "b=maybe", "e="});
+  auto expect_rejected = [&](const std::string& key, auto get) {
+    try {
+      get(key);
+      ADD_FAILURE() << key << " was accepted";
+    } catch (const ConfigError& err) {
+      const std::string what = err.what();
+      EXPECT_NE(what.find("'" + key + "'"), std::string::npos) << what;
+      EXPECT_NE(what.find("'" + *c.get(key) + "'"), std::string::npos)
+          << what;
+    }
+  };
+  for (const char* key : {"i", "j", "k", "x", "y", "z", "b", "e"}) {
+    expect_rejected(key, [&](const std::string& k) { c.get_int(k, 0); });
+  }
+  for (const char* key : {"x", "y", "z", "w", "b", "e"}) {
+    expect_rejected(key, [&](const std::string& k) { c.get_double(k, 0.0); });
+  }
+  for (const char* key : {"b", "e", "i", "x"}) {
+    expect_rejected(key, [&](const std::string& k) { c.get_bool(k, false); });
+  }
+}
+
+TEST(Config, IntAcceptsTheFullIntRange) {
+  Config c = parse({"lo=-2147483648", "hi=2147483647", "neg=-3"});
+  EXPECT_EQ(c.get_int("lo", 0), -2147483647 - 1);
+  EXPECT_EQ(c.get_int("hi", 0), 2147483647);
+  EXPECT_EQ(c.get_int("neg", 0), -3);
+  EXPECT_THROW(parse({"big=2147483648"}).get_int("big", 0), ConfigError);
+}
+
 TEST(Config, DoubleParsing) {
   Config c = parse({"rate=2.5"});
   EXPECT_DOUBLE_EQ(c.get_double("rate", 0.0), 2.5);

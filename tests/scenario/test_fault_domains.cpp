@@ -113,7 +113,8 @@ TEST(FaultDomainScenarios, BadConfigValuesAreRejected) {
        {"fault_domains=16,-4", "fault_domains=16,x", "fault_domains=",
         "fault_domain_crash_times=500", "fault_domain_crash_times=x:1",
         "fault_domain_crash_times=500:-1",
-        "fault_domain_crash_times=500:1.5"}) {
+        "fault_domain_crash_times=500:1.5",
+        "fault_domain_crash_times=500:4294967297"}) {  // 2^32 + 1, not 1
     const char* argv[] = {"test", "scenario=fault_correlated", bad};
     const Config cfg = Config::from_args(3, argv, scenario_config_keys());
     EXPECT_THROW(resolve_scenario(cfg), ConfigError) << bad;
@@ -123,6 +124,15 @@ TEST(FaultDomainScenarios, BadConfigValuesAreRejected) {
                         "fault_domains=64,64"};
   const Config cfg = Config::from_args(3, argv, scenario_config_keys());
   EXPECT_THROW(resolve_scenario(cfg), ConfigError);
+  // Sizes past INT_MAX, alone (2^32 + 16 must not wrap to 16) or summed.
+  for (const char* wide :
+       {"fault_domains=4294967312", "fault_domains=2000000000,2000000000"}) {
+    const char* wide_argv[] = {"test", wide};
+    EXPECT_THROW(resolve_scenario(
+                     Config::from_args(2, wide_argv, scenario_config_keys())),
+                 ConfigError)
+        << wide;
+  }
 }
 
 TEST(FaultDomainScenarios, DomainCrashSurfacesCorrelatedMetrics) {

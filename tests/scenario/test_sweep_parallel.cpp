@@ -84,7 +84,10 @@ TEST(SweepParallel, MoreThreadsThanCellsIsFine) {
 TEST(SweepParallel, WorkerExceptionsPropagateToTheCaller) {
   ScenarioSpec spec = fast_spec();
   spec.axis = SweepAxis::kSubmissionGap;
-  spec.axis_values = {0.0, -1.0};  // negative gap: JobMixGenerator rejects it
+  spec.axis_values = {0.0, 90.0};
+  // The spec validates, but every cell fails inside its worker: each cell
+  // opens the trace file when it builds its source.
+  spec.trace_path = "no_such_trace_file.csv";
   EXPECT_THROW(run_sweep(spec, 4), PreconditionError);
   EXPECT_THROW(run_sweep(spec, 1), PreconditionError);
 }
