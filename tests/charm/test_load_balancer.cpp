@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <ostream>
 
 #include "common/rng.hpp"
 
@@ -151,6 +152,13 @@ struct LbCase {
   int to_pes;
   unsigned seed;
 };
+
+// CTest names each case after its printed value; without this, gtest prints
+// the raw bytes, pointer included, and the names change from run to run.
+void PrintTo(const LbCase& c, std::ostream* os) {
+  *os << c.strategy << "_" << c.objects << "objs_" << c.from_pes << "to" << c.to_pes
+      << "PEs_seed" << c.seed;
+}
 
 class LbProperty : public ::testing::TestWithParam<LbCase> {};
 
