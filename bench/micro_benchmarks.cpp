@@ -316,7 +316,7 @@ void BM_PolicyEngineSubmitComplete(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_PolicyEngineSubmitComplete)->Arg(16)->Arg(128);
+BENCHMARK(BM_PolicyEngineSubmitComplete)->Arg(16)->Arg(128)->Arg(1024);
 
 // End-to-end streaming replay hot path: N synthetic jobs with prun-style
 // queue/task timeouts pulled lazily through SchedSimulator::run_stream,

@@ -91,28 +91,17 @@ bool PolicyEngine::expand_worthwhile(const JobState& j, int add) const {
 }
 
 std::vector<JobId> PolicyEngine::queued() const {
-  std::vector<const JobState*> states;
-  for (const auto& [id, st] : jobs_) {
-    if (!st.running && !st.completed) states.push_back(&st);
-  }
-  std::sort(states.begin(), states.end(),
-            [](const JobState* a, const JobState* b) { return PriorityOrder{}(*a, *b); });
   std::vector<JobId> out;
-  out.reserve(states.size());
-  for (const auto* st : states) out.push_back(st->spec.id);
+  for (const auto& [priority, run] : queued_) {
+    for (const JobState* st : run) out.push_back(st->spec.id);
+  }
   return out;
 }
 
 std::vector<JobId> PolicyEngine::running() const {
-  std::vector<const JobState*> states;
-  for (const auto& [id, st] : jobs_) {
-    if (st.running) states.push_back(&st);
-  }
-  std::sort(states.begin(), states.end(),
-            [](const JobState* a, const JobState* b) { return PriorityOrder{}(*a, *b); });
   std::vector<JobId> out;
-  out.reserve(states.size());
-  for (const auto* st : states) out.push_back(st->spec.id);
+  out.reserve(running_.size());
+  for (const JobState* st : running_) out.push_back(st->spec.id);
   return out;
 }
 
@@ -138,6 +127,9 @@ std::vector<Action> PolicyEngine::submit(const JobSpec& raw_spec, double now) {
   JobState& job = it->second;
 
   // Fig. 2, first branch: start outright if the free slots allow >= min.
+  // Otherwise only the elastic policy may evict capacity from
+  // lower-priority running jobs; everyone else queues.
+  std::vector<Action> actions;
   const int replicas =
       std::min(free_slots_ - config_.reserve_slots, spec.max_replicas);
   if (replicas >= spec.min_replicas) {
@@ -147,28 +139,31 @@ std::vector<Action> PolicyEngine::submit(const JobSpec& raw_spec, double now) {
     free_slots_ -= replicas;
     EHPC_DEBUG("policy", "job %d starts with %d replicas (free now %d)",
                spec.id, replicas, free_slots_);
-    return {Action{ActionType::kStart, spec.id, replicas}};
+    actions = {Action{ActionType::kStart, spec.id, replicas}};
+  } else if (config_.mode != PolicyMode::kElastic) {
+    actions = {Action{ActionType::kEnqueue, spec.id, 0}};
+  } else {
+    actions = try_shrink_to_fit(job, now);
   }
-
-  // Not enough room. Only the elastic policy may evict capacity from
-  // lower-priority running jobs; everyone else queues.
-  if (config_.mode != PolicyMode::kElastic) {
-    return {Action{ActionType::kEnqueue, spec.id, 0}};
+  if (job.running) {
+    running_.insert(&job);
+  } else {
+    queued_[spec.priority].insert(&job);
   }
-  return try_shrink_to_fit(job, now);
+  return actions;
 }
 
 std::vector<Action> PolicyEngine::try_shrink_to_fit(JobState& job, double now) {
-  const std::vector<JobId> order = running();  // decreasing priority
-
   // Fig. 2 dry-run: can enough slots be freed (respecting T_rescale_gap and
   // priority) to reach the job's min replicas? Walk from the lowest-priority
   // running job; index 0 (the highest-priority job) is never considered.
-  const std::size_t stop = config_.protect_top_job ? 1 : 0;
+  // `job` is not in running_ yet, so the walks below never visit it.
+  auto stop = running_.begin();
+  if (config_.protect_top_job && stop != running_.end()) ++stop;
   int num_to_free = job.spec.min_replicas - free_slots_ + config_.reserve_slots;
   const double job_priority = effective_priority(job, now);
-  for (std::size_t i = order.size(); num_to_free > 0 && i-- > stop;) {
-    const JobState& j = jobs_.at(order[i]);
+  for (auto it = running_.end(); num_to_free > 0 && it != stop;) {
+    const JobState& j = **--it;
     if (!rescale_allowed(j, now)) continue;
     if (effective_priority(j, now) > job_priority) break;
     if (j.replicas > j.spec.min_replicas) {
@@ -186,8 +181,8 @@ std::vector<Action> PolicyEngine::try_shrink_to_fit(JobState& job, double now) {
   std::vector<Action> actions;
   int min_to_free = job.spec.min_replicas - free_slots_ + config_.reserve_slots;
   int max_to_free = job.spec.max_replicas - free_slots_ + config_.reserve_slots;
-  for (std::size_t i = order.size(); max_to_free > 0 && i-- > stop;) {
-    JobState& j = jobs_.at(order[i]);
+  for (auto it = running_.end(); max_to_free > 0 && it != stop;) {
+    JobState& j = **--it;
     if (!rescale_allowed(j, now)) continue;
     if (effective_priority(j, now) > job_priority) break;
     if (j.replicas > j.spec.min_replicas) {
@@ -222,6 +217,15 @@ void PolicyEngine::abandon(JobId id) {
   EHPC_EXPECTS(!st.running && !st.completed);
   EHPC_ENSURES(st.replicas == 0);  // queued jobs hold no slots
   st.completed = true;
+  unqueue(&st);
+}
+
+void PolicyEngine::unqueue(JobState* job) {
+  auto run = queued_.find(job->spec.priority);
+  EHPC_ENSURES(run != queued_.end());
+  const std::size_t erased = run->second.erase(job);
+  EHPC_ENSURES(erased == 1);
+  if (run->second.empty()) queued_.erase(run);
 }
 
 void PolicyEngine::forget(JobId id) {
@@ -238,30 +242,51 @@ std::vector<Action> PolicyEngine::complete(JobId id, double now) {
   done.replicas = 0;
   done.running = false;
   done.completed = true;
+  running_.erase(&done);
 
-  // Fig. 3: hand the available slots to jobs in decreasing priority order —
-  // running jobs below their max (elastic only) and queued jobs that can
-  // reach at least their min.
-  std::vector<const JobState*> candidates;
-  for (const auto& [jid, st] : jobs_) {
-    if (!st.completed) candidates.push_back(&st);
-  }
-  std::sort(candidates.begin(), candidates.end(),
-            [this, now](const JobState* a, const JobState* b) {
-              const double pa = effective_priority(*a, now);
-              const double pb = effective_priority(*b, now);
-              if (pa != pb) return pa > pb;
-              return PriorityOrder{}(*a, *b);
-            });
-
+  // Fig. 3: hand the available slots to jobs in decreasing effective
+  // priority (ties by PriorityOrder) — running jobs below their max
+  // (elastic only) and queued jobs that can reach at least their min.
+  //
+  // Each source below is already sorted under that order at `now`: running
+  // jobs do not age, and within one raw priority a queued job's effective
+  // priority p + r*max(0, now - submit) never rises with its submit time
+  // (each floating-point step is monotone), so ties fall back to
+  // PriorityOrder, the run's own order. Repeatedly taking the best head
+  // therefore visits jobs exactly as sorting them all would.
+  struct Source {
+    JobSet::iterator next, end;
+    double priority;  ///< effective priority of *next
+  };
+  std::vector<Source> sources;
+  auto add_source = [&](JobSet& set) {
+    if (!set.empty()) {
+      sources.push_back({set.begin(), set.end(), effective_priority(**set.begin(), now)});
+    }
+  };
   const bool can_rescale = config_.mode == PolicyMode::kElastic;
+  if (can_rescale) add_source(running_);
+  for (auto& [priority, run] : queued_) add_source(run);
+
   std::vector<Action> actions;
+  std::vector<JobState*> started;
   int budget = free_slots_;
-  for (const JobState* cand : candidates) {
-    if (budget <= 0) break;
-    JobState& j = job_mut(cand->spec.id);
+  while (budget > 0) {
+    Source* best = nullptr;
+    for (Source& s : sources) {
+      if (s.next == s.end) continue;
+      if (best == nullptr ||
+          (s.priority != best->priority ? s.priority > best->priority
+                                        : PriorityOrder{}(**s.next, **best->next))) {
+        best = &s;
+      }
+    }
+    if (best == nullptr) break;
+    JobState& j = **best->next;
+    if (++best->next != best->end) {
+      best->priority = effective_priority(**best->next, now);
+    }
     if (!rescale_allowed(j, now)) continue;
-    if (j.running && !can_rescale) continue;
     if (j.replicas >= j.spec.max_replicas) continue;
     const int add = std::min(budget, j.spec.max_replicas - j.replicas);
     if (j.replicas + add < j.spec.min_replicas) continue;
@@ -272,10 +297,16 @@ std::vector<Action> PolicyEngine::complete(JobId id, double now) {
     j.last_action_time = now;
     free_slots_ -= add;
     budget -= add;
+    if (was_queued) started.push_back(&j);
     actions.push_back(Action{was_queued ? ActionType::kStart : ActionType::kExpand,
                              j.spec.id, j.replicas});
     EHPC_DEBUG("policy", "%s job %d to %d replicas on completion of job %d",
                was_queued ? "start" : "expand", j.spec.id, j.replicas, id);
+  }
+  // Moved only now so the walk over running_ never meets a job it started.
+  for (JobState* j : started) {
+    unqueue(j);
+    running_.insert(j);
   }
   return actions;
 }

@@ -2,6 +2,7 @@
 
 #include <functional>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -67,6 +68,9 @@ class PolicyEngine {
   using ProgressProvider = std::function<double(JobId)>;
 
   PolicyEngine(int total_slots, PolicyConfig config);
+  // The priority sets point into the job map; a copy would alias it.
+  PolicyEngine(const PolicyEngine&) = delete;
+  PolicyEngine& operator=(const PolicyEngine&) = delete;
 
   void set_progress_provider(ProgressProvider provider);
 
@@ -99,7 +103,9 @@ class PolicyEngine {
   const PolicyConfig& config() const { return config_; }
   bool has_job(JobId id) const { return jobs_.count(id) > 0; }
   const JobState& job(JobId id) const;
-  /// Queued (submitted, not yet started, not completed) jobs, priority order.
+  /// Queued (submitted, not yet started, not completed) jobs in raw
+  /// `PriorityOrder`, without aging credit. With aging enabled this is not
+  /// necessarily the order `complete()` hands out slots in.
   std::vector<JobId> queued() const;
   /// Running jobs in decreasing priority order.
   std::vector<JobId> running() const;
@@ -119,11 +125,24 @@ class PolicyEngine {
   // Returns the actions performed; on failure leaves state untouched and
   // returns only an enqueue marker.
   std::vector<Action> try_shrink_to_fit(JobState& job, double now);
+  // Remove a queued job from its priority run (dropping the run if empty).
+  void unqueue(JobState* job);
+
+  struct ByPriority {
+    bool operator()(const JobState* a, const JobState* b) const {
+      return PriorityOrder{}(*a, *b);
+    }
+  };
+  using JobSet = std::set<JobState*, ByPriority>;
 
   int total_slots_;
   int free_slots_;
   PolicyConfig config_;
-  std::map<JobId, JobState> jobs_;
+  std::map<JobId, JobState> jobs_;  ///< owns every job, completed ones too
+  // Live jobs kept in priority order so no decision collects or sorts them.
+  JobSet running_;
+  /// Queued jobs, one PriorityOrder run per raw priority, highest first.
+  std::map<int, JobSet, std::greater<int>> queued_;
   ProgressProvider progress_;
 };
 

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <tuple>
+#include <type_traits>
+
 #include "common/error.hpp"
 #include "common/rng.hpp"
 
@@ -384,6 +389,26 @@ TEST(PolicyExtensions, AgingPromotesStarvedJob) {
   eng2.submit(fresh, 990.0);
   auto plain_actions = eng2.complete(0, 1000.0);
   EXPECT_EQ(plain_actions[0].job, 2);
+
+  // Exact tie: at rate 0.5 and t=1000, priority-1 jobs submitted at t=10
+  // and a priority-3 job submitted at t=14 all reach 1 + 0.5*990 =
+  // 3 + 0.5*986 = 496 exactly. Ties fall back to PriorityOrder: raw
+  // priority first (job 4), then submit time, then id. Jobs 1 and 3 tie on
+  // all but id (an exact tie within one raw priority implies equal submit
+  // times), so 1 goes before 3. Job 5 (3 + 0.5*980 = 493) ranks last.
+  PolicyConfig tie_cfg = cfg;
+  tie_cfg.aging_rate_per_s = 0.5;
+  PolicyEngine tie(64, tie_cfg);
+  tie.submit(hog, 0.0);
+  tie.submit(spec(3, 16, 16, 1), 10.0);
+  tie.submit(spec(1, 16, 16, 1), 10.0);
+  tie.submit(spec(4, 16, 16, 3), 14.0);
+  tie.submit(spec(5, 16, 16, 3), 20.0);
+  std::vector<JobId> started;
+  for (const auto& a : tie.complete(0, 1000.0)) {
+    if (a.type == ActionType::kStart) started.push_back(a.job);
+  }
+  EXPECT_EQ(started, (std::vector<JobId>{4, 1, 3, 5}));
 }
 
 TEST(PolicyExtensions, ExpandDeclinedWhenAlmostDone) {
@@ -496,6 +521,289 @@ TEST(PolicyEngine, EqualPriorityAndTimeTiesBreakByJobId) {
   }
   EXPECT_EQ(started, (std::vector<JobId>{1, 2}));
 }
+
+// The sets inside the engine point into its job map, so a copy would alias
+// the original's jobs.
+static_assert(!std::is_copy_constructible_v<PolicyEngine>);
+static_assert(!std::is_copy_assignable_v<PolicyEngine>);
+
+// The sort-based engine PolicyEngine replaced: every decision re-collects
+// the live jobs and sorts them. Kept here only as the differential oracle.
+class ReferencePolicyEngine {
+ public:
+  ReferencePolicyEngine(int total_slots, PolicyConfig config)
+      : free_slots_(total_slots), config_(config) {}
+
+  void set_progress_provider(PolicyEngine::ProgressProvider provider) {
+    progress_ = std::move(provider);
+  }
+  int free_slots() const { return free_slots_; }
+
+  std::vector<JobId> queued() const {
+    return sorted_ids([](const JobState& st) { return !st.running && !st.completed; });
+  }
+  std::vector<JobId> running() const {
+    return sorted_ids([](const JobState& st) { return st.running; });
+  }
+
+  std::vector<Action> submit(JobSpec spec, double now) {
+    switch (config_.mode) {
+      case PolicyMode::kRigidMin: spec.max_replicas = spec.min_replicas; break;
+      case PolicyMode::kRigidMax: spec.min_replicas = spec.max_replicas; break;
+      case PolicyMode::kMoldable:
+      case PolicyMode::kElastic: break;
+    }
+    JobState& job = jobs_[spec.id];
+    job.spec = spec;
+    job.submit_time = now;
+    const int replicas = std::min(free_slots_ - config_.reserve_slots, spec.max_replicas);
+    if (replicas >= spec.min_replicas) {
+      job.replicas = replicas;
+      job.running = true;
+      job.last_action_time = now;
+      free_slots_ -= replicas;
+      return {Action{ActionType::kStart, spec.id, replicas}};
+    }
+    if (config_.mode != PolicyMode::kElastic) {
+      return {Action{ActionType::kEnqueue, spec.id, 0}};
+    }
+    return try_shrink_to_fit(job, now);
+  }
+
+  std::vector<Action> complete(JobId id, double now) {
+    JobState& done = jobs_.at(id);
+    free_slots_ += done.replicas;
+    done.replicas = 0;
+    done.running = false;
+    done.completed = true;
+
+    std::vector<JobState*> candidates;
+    for (auto& [jid, st] : jobs_) {
+      if (!st.completed) candidates.push_back(&st);
+    }
+    std::sort(candidates.begin(), candidates.end(),
+              [this, now](const JobState* a, const JobState* b) {
+                const double pa = effective_priority(*a, now);
+                const double pb = effective_priority(*b, now);
+                if (pa != pb) return pa > pb;
+                return PriorityOrder{}(*a, *b);
+              });
+    const bool can_rescale = config_.mode == PolicyMode::kElastic;
+    std::vector<Action> actions;
+    int budget = free_slots_;
+    for (JobState* cand : candidates) {
+      if (budget <= 0) break;
+      JobState& j = *cand;
+      if (!rescale_allowed(j, now)) continue;
+      if (j.running && !can_rescale) continue;
+      if (j.replicas >= j.spec.max_replicas) continue;
+      const int add = std::min(budget, j.spec.max_replicas - j.replicas);
+      if (j.replicas + add < j.spec.min_replicas) continue;
+      const bool was_queued = !j.running;
+      if (!was_queued && !expand_worthwhile(j, add)) continue;
+      j.replicas += add;
+      j.running = true;
+      j.last_action_time = now;
+      free_slots_ -= add;
+      budget -= add;
+      actions.push_back(Action{was_queued ? ActionType::kStart : ActionType::kExpand,
+                               j.spec.id, j.replicas});
+    }
+    return actions;
+  }
+
+  void abandon(JobId id) { jobs_.at(id).completed = true; }
+  void forget(JobId id) { jobs_.erase(id); }
+
+ private:
+  template <typename Pred>
+  std::vector<JobId> sorted_ids(Pred keep) const {
+    std::vector<const JobState*> states;
+    for (const auto& [id, st] : jobs_) {
+      if (keep(st)) states.push_back(&st);
+    }
+    std::sort(states.begin(), states.end(),
+              [](const JobState* a, const JobState* b) { return PriorityOrder{}(*a, *b); });
+    std::vector<JobId> out;
+    for (const JobState* st : states) out.push_back(st->spec.id);
+    return out;
+  }
+
+  bool rescale_allowed(const JobState& j, double now) const {
+    return now - j.last_action_time >= config_.rescale_gap_s;
+  }
+
+  double effective_priority(const JobState& j, double now) const {
+    double priority = static_cast<double>(j.spec.priority);
+    if (config_.aging_rate_per_s > 0.0 && !j.running && !j.completed) {
+      priority += config_.aging_rate_per_s * std::max(0.0, now - j.submit_time);
+    }
+    return priority;
+  }
+
+  bool expand_worthwhile(const JobState& j, int add) const {
+    if (config_.min_expand_gain > 0.0 &&
+        static_cast<double>(add) < config_.min_expand_gain * static_cast<double>(j.replicas)) {
+      return false;
+    }
+    if (config_.min_remaining_fraction_for_expand > 0.0 && progress_) {
+      if (progress_(j.spec.id) < config_.min_remaining_fraction_for_expand) return false;
+    }
+    return true;
+  }
+
+  std::vector<Action> try_shrink_to_fit(JobState& job, double now) {
+    const std::vector<JobId> order = running();
+    const std::size_t stop = config_.protect_top_job ? 1 : 0;
+    int num_to_free = job.spec.min_replicas - free_slots_ + config_.reserve_slots;
+    const double job_priority = effective_priority(job, now);
+    for (std::size_t i = order.size(); num_to_free > 0 && i-- > stop;) {
+      const JobState& j = jobs_.at(order[i]);
+      if (!rescale_allowed(j, now)) continue;
+      if (effective_priority(j, now) > job_priority) break;
+      if (j.replicas > j.spec.min_replicas) {
+        const int new_replicas = std::max(j.spec.min_replicas, j.replicas - num_to_free);
+        num_to_free -= j.replicas - new_replicas;
+      }
+    }
+    if (num_to_free > 0) return {Action{ActionType::kEnqueue, job.spec.id, 0}};
+
+    std::vector<Action> actions;
+    int max_to_free = job.spec.max_replicas - free_slots_ + config_.reserve_slots;
+    for (std::size_t i = order.size(); max_to_free > 0 && i-- > stop;) {
+      JobState& j = jobs_.at(order[i]);
+      if (!rescale_allowed(j, now)) continue;
+      if (effective_priority(j, now) > job_priority) break;
+      if (j.replicas > j.spec.min_replicas) {
+        const int new_replicas = std::max(j.spec.min_replicas, j.replicas - max_to_free);
+        const int freed = j.replicas - new_replicas;
+        j.replicas = new_replicas;
+        j.last_action_time = now;
+        free_slots_ += freed;
+        max_to_free -= freed;
+        actions.push_back(Action{ActionType::kShrink, j.spec.id, new_replicas});
+      }
+    }
+    const int replicas = std::min(free_slots_ - config_.reserve_slots, job.spec.max_replicas);
+    job.replicas = replicas;
+    job.running = true;
+    job.last_action_time = now;
+    free_slots_ -= replicas;
+    actions.push_back(Action{ActionType::kStart, job.spec.id, replicas});
+    return actions;
+  }
+
+  int free_slots_;
+  PolicyConfig config_;
+  std::map<JobId, JobState> jobs_;
+  PolicyEngine::ProgressProvider progress_;
+};
+
+using ActionTuple = std::tuple<ActionType, JobId, int>;
+
+std::vector<ActionTuple> as_tuples(const std::vector<Action>& actions) {
+  std::vector<ActionTuple> out;
+  for (const Action& a : actions) out.emplace_back(a.type, a.job, a.target_replicas);
+  return out;
+}
+
+// Differential property test: PolicyEngine keeps its live jobs in ordered
+// sets and merges them lazily; ReferencePolicyEngine sorts everything on
+// every decision. Seeded random submit/complete/abandon/forget sequences
+// must give the same actions, queue, running list and free slots after
+// every event. Integer priorities with aging rates {0, 0.01, 1/3, 1} and
+// time steps {0, 0.1, 1, 7.3} make exact effective-priority ties common,
+// so the comparator's tie-break is exercised, not just its primary key.
+// One case per mode; each sweeps the cross product of the other knobs.
+// It carries the default `unit` label, so the ASan/UBSan CI lane runs it.
+class PolicyDifferential : public ::testing::TestWithParam<PolicyMode> {};
+
+TEST_P(PolicyDifferential, MatchesSortBasedReference) {
+  constexpr int kSlots = 32;
+  constexpr double kSteps[] = {0.0, 0.1, 1.0, 7.3};
+  const auto progress = [](JobId id) { return static_cast<double>(id % 7) / 6.0; };
+  unsigned seed = 0;
+  for (bool protect : {true, false}) {
+    for (int reserve : {0, 1, 2}) {
+      for (double gap : {0.0, 3.0, 180.0}) {
+        for (bool cost_benefit : {false, true}) {
+          for (double aging : {0.0, 0.01, 1.0 / 3.0, 1.0}) {
+            PolicyConfig cfg;
+            cfg.mode = GetParam();
+            cfg.protect_top_job = protect;
+            cfg.reserve_slots = reserve;
+            cfg.rescale_gap_s = gap;
+            cfg.aging_rate_per_s = aging;
+            if (cost_benefit) {
+              cfg.min_expand_gain = 0.5;
+              cfg.min_remaining_fraction_for_expand = 0.3;
+            }
+            SCOPED_TRACE(testing::Message()
+                         << "protect=" << protect << " reserve=" << reserve << " gap=" << gap
+                         << " cost_benefit=" << cost_benefit << " aging=" << aging
+                         << " seed=" << seed);
+            PolicyEngine eng(kSlots, cfg);
+            ReferencePolicyEngine ref(kSlots, cfg);
+            if (cost_benefit) {
+              eng.set_progress_provider(progress);
+              ref.set_progress_provider(progress);
+            }
+            Rng rng(++seed);
+            double now = 0.0;
+            JobId next_id = 0;
+            std::vector<JobId> finished;  // completed or abandoned, not forgotten
+            for (int step = 0; step < 250; ++step) {
+              now += kSteps[rng.uniform_int(0, 3)];
+              const double roll = rng.uniform(0.0, 1.0);
+              const std::vector<JobId> running = ref.running();
+              const std::vector<JobId> queued = ref.queued();
+              auto pick = [&rng](const std::vector<JobId>& ids) {
+                return ids[static_cast<std::size_t>(
+                    rng.uniform_int(0, static_cast<int>(ids.size()) - 1))];
+              };
+              std::vector<Action> got;
+              std::vector<Action> want;
+              if (roll < 0.3 && !running.empty()) {
+                const JobId id = pick(running);
+                got = eng.complete(id, now);
+                want = ref.complete(id, now);
+                finished.push_back(id);
+              } else if (roll < 0.4 && !queued.empty()) {
+                const JobId id = pick(queued);
+                eng.abandon(id);
+                ref.abandon(id);
+                finished.push_back(id);
+              } else if (roll < 0.5 && !finished.empty()) {
+                const JobId id = pick(finished);
+                eng.forget(id);
+                ref.forget(id);
+                finished.erase(std::find(finished.begin(), finished.end(), id));
+              } else {
+                const int min_r = static_cast<int>(rng.uniform_int(1, 10));
+                const int max_r = static_cast<int>(rng.uniform_int(min_r, 24));
+                const int priority = static_cast<int>(rng.uniform_int(1, 4));
+                const JobSpec s = spec(next_id++, min_r, max_r, priority);
+                got = eng.submit(s, now);
+                want = ref.submit(s, now);
+              }
+              ASSERT_EQ(as_tuples(got), as_tuples(want)) << "step " << step;
+              ASSERT_EQ(eng.queued(), ref.queued()) << "step " << step;
+              ASSERT_EQ(eng.running(), ref.running()) << "step " << step;
+              ASSERT_EQ(eng.free_slots(), ref.free_slots()) << "step " << step;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllModes, PolicyDifferential,
+                         ::testing::Values(PolicyMode::kRigidMin, PolicyMode::kRigidMax,
+                                           PolicyMode::kMoldable, PolicyMode::kElastic),
+                         [](const ::testing::TestParamInfo<PolicyMode>& info) {
+                           return to_string(info.param);
+                         });
 
 }  // namespace
 }  // namespace ehpc::elastic
