@@ -217,7 +217,7 @@ BENCHMARK(BM_GraphSuperstep)->Arg(1024)->Arg(4096);
 // per-link window sharing and the additive penalty, cycling through
 // same-node / same-rack / cross-rack routes. Items = priced transfers.
 void BM_TopologyMessageTime(benchmark::State& state) {
-  net::ContentionConfig config{net::presets::pod_network(),
+  net::ContentionConfig config{net::pod_network(),
                                net::Topology::fat_tree(8, /*oversub=*/4.0)};
   net::ContentionNetworkModel model(config);
   const std::pair<int, int> routes[] = {{0, 1}, {2, 19}, {5, 5}, {7, 42}};

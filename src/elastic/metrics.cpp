@@ -11,41 +11,18 @@ MetricsCollector::MetricsCollector(int total_slots) : total_slots_(total_slots) 
   EHPC_EXPECTS(total_slots_ > 0);
 }
 
-void MetricsCollector::enable_streaming() {
-  EHPC_EXPECTS(jobs_.empty() && usage_.empty() && n_jobs_ == 0 && !have_usage_);
-  streaming_ = true;
-}
-
 void MetricsCollector::note_submit(double t) {
-  if (!streaming_) return;
   if (!have_first_submit_ || t < first_submit_) {
     first_submit_ = t;
     have_first_submit_ = true;
   }
 }
 
-void MetricsCollector::add_job(const JobRecord& record) {
-  EHPC_EXPECTS(record.start_time >= record.submit_time);
-  EHPC_EXPECTS(record.complete_time >= record.start_time);
-  if (!streaming_) {
-    jobs_.push_back(record);
-    return;
-  }
-  note_submit(record.submit_time);
-  last_complete_ =
-      n_jobs_ == 0 ? record.complete_time
-                   : std::max(last_complete_, record.complete_time);
-  ++n_jobs_;
-  response_.add(record.response_time(), static_cast<double>(record.priority));
-  completion_.add(record.completion_time(),
-                  static_cast<double>(record.priority));
-  if (record.failed) ++failed_count_;
-  if (record.abandoned) ++abandoned_count_;
-  if (record.timed_out) ++timed_out_count_;
-  recovery_sum_ += record.recovery_s;
-  lost_sum_ += record.lost_work_s;
-  goodput_sum_ += record.goodput();
-  // Snapshot the usage integral up to the new last completion. By event
+void MetricsCollector::note_complete(double t) {
+  EHPC_EXPECTS(have_first_submit_ && t >= first_submit_);
+  last_complete_ = have_complete_ ? std::max(last_complete_, t) : t;
+  have_complete_ = true;
+  // Snapshot the usage integral up to the latest completion. By event
   // ordering every recorded usage step is at t <= this completion time, so
   // extending the current level to `last_complete_` is exact.
   if (have_usage_) {
@@ -57,13 +34,25 @@ void MetricsCollector::add_job(const JobRecord& record) {
   }
 }
 
+void MetricsCollector::add_job(const JobRecord& record) {
+  EHPC_EXPECTS(record.start_time >= record.submit_time);
+  EHPC_EXPECTS(record.complete_time >= record.start_time);
+  EHPC_EXPECTS(have_first_submit_ && record.submit_time >= first_submit_);
+  EHPC_EXPECTS(have_complete_ && record.complete_time <= last_complete_);
+  ++n_jobs_;
+  response_.add(record.response_time(), static_cast<double>(record.priority));
+  completion_.add(record.completion_time(),
+                  static_cast<double>(record.priority));
+  if (record.failed) ++failed_count_;
+  if (record.abandoned) ++abandoned_count_;
+  if (record.timed_out) ++timed_out_count_;
+  recovery_sum_ += record.recovery_s;
+  lost_sum_ += record.lost_work_s;
+  goodput_sum_ += record.goodput();
+}
+
 void MetricsCollector::record_usage(double t, int used) {
   EHPC_EXPECTS(used >= 0 && used <= total_slots_);
-  if (!streaming_) {
-    EHPC_EXPECTS(usage_.empty() || t >= usage_.back().first);
-    usage_.emplace_back(t, static_cast<double>(used));
-    return;
-  }
   EHPC_EXPECTS(!have_usage_ || t >= last_usage_t_);
   if (have_usage_ && have_first_submit_) {
     const double start = std::max(last_usage_t_, first_submit_);
@@ -109,73 +98,21 @@ RunMetrics MetricsCollector::compute() const {
   m.storm_peak_restorers = static_cast<double>(peak_restorers_);
   m.storm_delay_s = storm_delay_sum_;
 
-  if (streaming_) {
-    EHPC_EXPECTS(n_jobs_ > 0);
-    m.total_time_s = last_complete_ - first_submit_;
-    m.weighted_response_s = response_.value();
-    m.weighted_completion_s = completion_.value();
-    if (have_usage_ && last_complete_ > first_submit_) {
-      m.utilization =
-          window_integral_ / (last_complete_ - first_submit_) / total_slots_;
-    }
-    const double n = static_cast<double>(n_jobs_);
-    m.jobs_failed = static_cast<double>(failed_count_);
-    m.jobs_abandoned = static_cast<double>(abandoned_count_);
-    m.jobs_timed_out = static_cast<double>(timed_out_count_);
-    m.recovery_time_s = recovery_sum_ / n;
-    m.lost_work_s = lost_sum_ / n;
-    m.goodput = goodput_sum_ / n;
-    return m;
-  }
-
-  EHPC_EXPECTS(!jobs_.empty());
-  double first_submit = jobs_.front().submit_time;
-  double last_complete = jobs_.front().complete_time;
-  WeightedMean response;
-  WeightedMean completion;
-  for (const auto& j : jobs_) {
-    first_submit = std::min(first_submit, j.submit_time);
-    last_complete = std::max(last_complete, j.complete_time);
-    response.add(j.response_time(), static_cast<double>(j.priority));
-    completion.add(j.completion_time(), static_cast<double>(j.priority));
-  }
-  m.total_time_s = last_complete - first_submit;
-  m.weighted_response_s = response.value();
-  m.weighted_completion_s = completion.value();
-
-  if (!usage_.empty() && last_complete > first_submit) {
-    // Restrict the trace to the experiment window.
-    std::vector<std::pair<double, double>> window;
-    double current = 0.0;
-    for (const auto& [t, used] : usage_) {
-      if (t <= first_submit) {
-        current = used;
-      } else if (t <= last_complete) {
-        if (window.empty()) window.emplace_back(first_submit, current);
-        window.emplace_back(t, used);
-      }
-    }
-    if (window.empty()) window.emplace_back(first_submit, current);
+  EHPC_EXPECTS(n_jobs_ > 0);
+  m.total_time_s = last_complete_ - first_submit_;
+  m.weighted_response_s = response_.value();
+  m.weighted_completion_s = completion_.value();
+  if (have_usage_ && last_complete_ > first_submit_) {
     m.utilization =
-        time_weighted_average(window, last_complete) / total_slots_;
+        window_integral_ / (last_complete_ - first_submit_) / total_slots_;
   }
-
-  std::vector<double> recovery;
-  std::vector<double> lost;
-  std::vector<double> goodput;
-  for (const auto& j : jobs_) {
-    if (j.failed) m.jobs_failed += 1.0;
-    if (j.abandoned) m.jobs_abandoned += 1.0;
-    if (j.timed_out) m.jobs_timed_out += 1.0;
-    recovery.push_back(j.recovery_s);
-    lost.push_back(j.lost_work_s);
-    goodput.push_back(j.goodput());
-  }
-  // jobs_ is non-empty (checked above); mean_of throws on empty input, and
-  // keeping these vectors unconditional keeps that contract visible here.
-  m.recovery_time_s = mean_of(recovery);
-  m.lost_work_s = mean_of(lost);
-  m.goodput = mean_of(goodput);
+  const double n = static_cast<double>(n_jobs_);
+  m.jobs_failed = static_cast<double>(failed_count_);
+  m.jobs_abandoned = static_cast<double>(abandoned_count_);
+  m.jobs_timed_out = static_cast<double>(timed_out_count_);
+  m.recovery_time_s = recovery_sum_ / n;
+  m.lost_work_s = lost_sum_ / n;
+  m.goodput = goodput_sum_ / n;
   return m;
 }
 

@@ -79,34 +79,33 @@ struct RunMetrics {
   double goodput = 1.0;             ///< mean per-job useful-time fraction
 };
 
-/// Accumulates job records and a used-slots step trace, then computes the
-/// run metrics. Used identically by the performance simulator and the
-/// Kubernetes-substrate experiment so "Actual" and "Simulation" columns are
-/// directly comparable.
+/// Folds job records and a used-slots step trace into O(1) accumulators,
+/// then computes the run metrics. Used identically by the performance
+/// simulator and the Kubernetes-substrate experiment, in both drive modes,
+/// so "Actual" and "Simulation" columns are directly comparable and memory
+/// stays constant on million-job traces.
 ///
-/// Two accumulation modes:
-///  - batch (default): every JobRecord and usage step is retained, so
-///    callers can inspect per-job records after the run. Memory grows with
-///    trace length.
-///  - streaming (`enable_streaming()` before the first record): records are
-///    folded into O(1) accumulators on arrival and never retained —
-///    required by `ExecHarness::run_stream`, whose memory must stay
-///    proportional to in-flight jobs on million-job traces. Streaming
-///    consumers must call `note_submit(t)` at each submission so the
-///    utilization window opens at the first submit, not the first
-///    completion.
+/// The utilization window spans the first submission to the last
+/// completion. Callers announce both ends as they happen: `note_submit(t)`
+/// at each submission and `note_complete(t)` at each job's end, in time
+/// order. `add_job` only folds a record's own statistics, so records may
+/// arrive later and in any order (the batch harness folds them in id order
+/// after the run) without moving the window; usage steps recorded after
+/// the last completion (pod teardown) never reach utilization.
 class MetricsCollector {
  public:
   explicit MetricsCollector(int total_slots);
 
-  /// Switch to streaming accumulation. Must precede the first record.
-  void enable_streaming();
-  bool streaming() const { return streaming_; }
-
-  /// Tell the collector a job was submitted at `t` (streaming mode only;
-  /// a no-op in batch mode, where submit times come from the records).
+  /// A job was submitted at `t`: opens the utilization window at the
+  /// earliest submission.
   void note_submit(double t);
 
+  /// A job ended (completed, failed, abandoned or timed out) at `t`:
+  /// closes the utilization window there unless a later end already did.
+  void note_complete(double t);
+
+  /// Fold one finished job's record. Its submission and end must already
+  /// have been noted.
   void add_job(const JobRecord& record);
 
   /// Record that `used` slots are busy from time `t` onward.
@@ -130,19 +129,8 @@ class MetricsCollector {
 
   RunMetrics compute() const;
 
-  /// Retained per-job records; empty in streaming mode.
-  const std::vector<JobRecord>& jobs() const { return jobs_; }
-  const std::vector<std::pair<double, double>>& usage_steps() const {
-    return usage_;
-  }
-
  private:
   int total_slots_;
-  bool streaming_ = false;
-  std::vector<JobRecord> jobs_;
-  std::vector<std::pair<double, double>> usage_;  // (time, used slots)
-  // LB steps fold into running sums in both modes (same addition order as
-  // the old retained vector, so batch results are bit-identical).
   double lb_ratio_sum_ = 0.0;
   double lb_migration_sum_ = 0.0;
   long lb_count_ = 0;
@@ -152,12 +140,11 @@ class MetricsCollector {
   int peak_restorers_ = 0;
   double storm_delay_sum_ = 0.0;
 
-  // Streaming accumulators (mirror the batch compute() pass, in the same
-  // per-record order, so the two modes agree).
   long n_jobs_ = 0;
   double first_submit_ = 0.0;
   bool have_first_submit_ = false;
   double last_complete_ = 0.0;
+  bool have_complete_ = false;
   WeightedMean response_;
   WeightedMean completion_;
   double recovery_sum_ = 0.0;
@@ -166,10 +153,10 @@ class MetricsCollector {
   long failed_count_ = 0;
   long abandoned_count_ = 0;
   long timed_out_count_ = 0;
-  // Usage step-function integral over [first_submit_, last event], plus a
-  // snapshot truncated at the latest completion: pod/engine events that
-  // arrive after the last completion must not leak into utilization (the
-  // batch path windows the retained trace the same way).
+  // Usage step-function integral over [first_submit_, latest step], plus
+  // the same integral extended to (and cut at) the latest completion.
+  // Products are summed in time order, span divided before slot count, so
+  // the result is the windowed time_weighted_average of the step trace.
   bool have_usage_ = false;
   double last_usage_t_ = 0.0;
   double last_used_ = 0.0;

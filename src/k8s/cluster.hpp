@@ -9,7 +9,6 @@
 #include "k8s/store.hpp"
 #include "k8s/views.hpp"
 #include "sim/simulation.hpp"
-#include "sim/trace.hpp"
 
 namespace ehpc::k8s {
 
@@ -62,7 +61,6 @@ class Cluster {
   const ClusterIndex& index() const { return *index_; }
   KubeScheduler& scheduler() { return *scheduler_; }
   Kubelet& kubelet() { return *kubelet_; }
-  sim::TraceRecorder& trace() { return trace_; }
 
  private:
   sim::Simulation sim_;
@@ -71,7 +69,6 @@ class Cluster {
   std::unique_ptr<ClusterIndex> index_;
   std::unique_ptr<KubeScheduler> scheduler_;
   std::unique_ptr<Kubelet> kubelet_;
-  sim::TraceRecorder trace_;
 };
 
 }  // namespace ehpc::k8s

@@ -17,9 +17,16 @@ double NetworkModel::collective_latency(int pes, double now) const {
 std::string FlatNetworkModel::describe() const {
   char buf[128];
   std::snprintf(buf, sizeof(buf), "flat(alpha=%gus,bw=%gGB/s)",
-                base_.inter_node().alpha_s * 1e6,
-                base_.inter_node().bandwidth_Bps / 1e9);
+                inter_.alpha_s * 1e6, inter_.bandwidth_Bps / 1e9);
   return buf;
+}
+
+FlatNetworkModel pod_network() {
+  // Intra-node: shared-memory transport. Inter-node: kube-proxy + TCP over
+  // ENA, high per-message latency and decent bandwidth. Bandwidths are
+  // effective per-stream, not line rate.
+  return FlatNetworkModel(LinkModel{0.5e-6, 8.0e9}, LinkModel{300.0e-6, 1.0e9},
+                          2.0e-6);
 }
 
 ContentionNetworkModel::ContentionNetworkModel(ContentionConfig config)
@@ -118,13 +125,13 @@ double ContentionNetworkModel::collective_latency(int pes, double now) const {
 
 std::shared_ptr<const NetworkModel> default_network_model() {
   static const std::shared_ptr<const NetworkModel> kDefault =
-      std::make_shared<FlatNetworkModel>(presets::pod_network());
+      std::make_shared<FlatNetworkModel>(pod_network());
   return kDefault;
 }
 
 std::unique_ptr<NetworkModel> make_network_model(const std::string& kind,
                                                  double oversub,
-                                                 const CostModel& base) {
+                                                 const FlatNetworkModel& base) {
   EHPC_EXPECTS(oversub > 0.0);
   // 2us per extra switch hop: small against pod-network alpha (300us) but
   // enough that cross-rack paths are strictly dearer than same-rack ones.

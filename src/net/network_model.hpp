@@ -7,10 +7,20 @@
 #include <string>
 #include <vector>
 
-#include "net/cost_model.hpp"
 #include "net/topology.hpp"
 
 namespace ehpc::net {
+
+/// One alpha-beta (latency-bandwidth) link:
+/// transfer_time(n bytes) = alpha + n / bandwidth.
+struct LinkModel {
+  double alpha_s = 0.0;           ///< per-message latency, seconds
+  double bandwidth_Bps = 1.0e9;   ///< bytes per second
+
+  double transfer_time(std::size_t bytes) const {
+    return alpha_s + static_cast<double>(bytes) / bandwidth_Bps;
+  }
+};
 
 /// Abstract communication-cost seam between the runtime and the network.
 ///
@@ -78,29 +88,43 @@ class NetworkModel {
   virtual std::unique_ptr<NetworkModel> clone() const = 0;
 };
 
-/// The pre-existing alpha-beta scalar model behind the new interface.
-/// Delegates every query verbatim to net::CostModel, so simulations that
-/// use it are bit-identical to the old concrete-class code path.
+/// Stateless alpha-beta model: intra-node (shared memory) and inter-node
+/// (fabric) links plus a small fixed software overhead per message
+/// (serialization, scheduling). The intra/inter split is how pod placement
+/// and affinity affect application performance on the Kubernetes
+/// substrate.
 class FlatNetworkModel final : public NetworkModel {
  public:
-  explicit FlatNetworkModel(CostModel base) : base_(base) {}
+  FlatNetworkModel(LinkModel intra_node, LinkModel inter_node,
+                   double per_msg_sw_s)
+      : intra_(intra_node), inter_(inter_node), software_s_(per_msg_sw_s) {}
 
   std::string name() const override { return "flat"; }
   std::string describe() const override;
   double message_time(std::size_t bytes, int src_node,
                       int dst_node) const override {
-    return base_.message_time(bytes, src_node, dst_node);
+    const LinkModel& link = (src_node == dst_node) ? intra_ : inter_;
+    return software_s_ + link.transfer_time(bytes);
   }
-  double inter_alpha() const override { return base_.inter_alpha(); }
+  double inter_alpha() const override { return software_s_ + inter_.alpha_s; }
   std::unique_ptr<NetworkModel> clone() const override {
-    return std::make_unique<FlatNetworkModel>(base_);
+    return std::make_unique<FlatNetworkModel>(*this);
   }
 
-  const CostModel& base() const { return base_; }
+  const LinkModel& intra_node() const { return intra_; }
+  const LinkModel& inter_node() const { return inter_; }
 
  private:
-  CostModel base_;
+  LinkModel intra_;
+  LinkModel inter_;
+  double software_s_;
 };
+
+/// The paper's actual transport: OpenMPI over TCP on the pod network (ENA,
+/// no EFA) — per-message latency in the hundreds of microseconds even
+/// inside a placement group. This is what makes multi-node allocations
+/// markedly less efficient than single-node ones in the evaluation.
+FlatNetworkModel pod_network();
 
 /// Per-link accounting kept by ContentionNetworkModel, exposed for tests
 /// and diagnostics.
@@ -111,7 +135,7 @@ struct LinkStats {
 };
 
 struct ContentionConfig {
-  CostModel base;     ///< per-message alpha-beta floor (access-link price)
+  FlatNetworkModel base;  ///< per-message price floor (access-link price)
   Topology topology;  ///< node->path mapping and per-link bandwidth shares
   /// Virtual-time bucketing for "concurrent": transfers departing within
   /// the same window of this length share link bandwidth. 0 disables
@@ -175,16 +199,16 @@ class ContentionNetworkModel final : public NetworkModel {
   mutable std::vector<LinkId> path_buf_;
 };
 
-/// Process-wide default: a FlatNetworkModel over presets::pod_network(),
-/// matching the cost model every pre-existing baseline was recorded with.
+/// Process-wide default: pod_network(), the model every baseline was
+/// recorded with.
 std::shared_ptr<const NetworkModel> default_network_model();
 
-/// Build a model by scenario-facing kind name. "flat" wraps `base`
-/// unchanged; "fattree" / "dragonfly" wrap it in a ContentionNetworkModel
-/// over a radix-4 topology with the given oversubscription ratio.
+/// Build a model by scenario-facing kind name. "flat" is `base` itself;
+/// "fattree" / "dragonfly" wrap it in a ContentionNetworkModel over a
+/// radix-4 topology with the given oversubscription ratio.
 /// Throws PreconditionError on unknown kinds.
 std::unique_ptr<NetworkModel> make_network_model(
     const std::string& kind, double oversub = 1.0,
-    const CostModel& base = presets::pod_network());
+    const FlatNetworkModel& base = pod_network());
 
 }  // namespace ehpc::net

@@ -4,7 +4,6 @@
 
 #include "common/error.hpp"
 #include "elastic/workload.hpp"
-#include "opk/experiment.hpp"
 #include "schedsim/calibrate.hpp"
 #include "schedsim/simulator.hpp"
 #include "trace/failures.hpp"
@@ -33,27 +32,31 @@ schedsim::SimResult SchedSimBackend::run_stream(trace::TraceSource& source) {
 ClusterBackend::ClusterBackend(
     const ScenarioSpec& spec, elastic::PolicyConfig policy,
     std::map<elastic::JobClass, elastic::Workload> workloads)
-    : spec_(spec), policy_(policy), workloads_(std::move(workloads)) {}
+    : workloads_(std::move(workloads)) {
+  config_.nodes = spec.nodes;
+  config_.cpus_per_node = spec.cpus_per_node;
+  config_.policy = policy;
+  config_.faults = trace::resolve_failure_trace(spec.faults);
+}
 
 schedsim::SimResult ClusterBackend::run(
     const std::vector<schedsim::SubmittedJob>& mix) {
-  opk::ExperimentConfig config;
-  config.nodes = spec_.nodes;
-  config.cpus_per_node = spec_.cpus_per_node;
-  config.policy = policy_;
-  config.faults = trace::resolve_failure_trace(spec_.faults);
-  opk::ClusterExperiment experiment(config, workloads_);
+  opk::ClusterExperiment experiment(config_, workloads_);
   return experiment.run(mix);
 }
 
 schedsim::SimResult ClusterBackend::run_stream(trace::TraceSource& source) {
-  opk::ExperimentConfig config;
-  config.nodes = spec_.nodes;
-  config.cpus_per_node = spec_.cpus_per_node;
-  config.policy = policy_;
-  config.faults = trace::resolve_failure_trace(spec_.faults);
-  opk::ClusterExperiment experiment(config, workloads_);
+  opk::ClusterExperiment experiment(config_, workloads_);
   return experiment.run_stream(source);
+}
+
+schedsim::SimResult run_seeded(ExperimentBackend& backend,
+                               const ScenarioSpec& spec, unsigned seed) {
+  if (spec.is_trace()) {
+    auto source = make_trace_source(spec, seed);
+    return backend.run_stream(*source);
+  }
+  return backend.run(make_mix(spec, seed));
 }
 
 elastic::PolicyConfig policy_for(const ScenarioSpec& spec,

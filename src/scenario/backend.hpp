@@ -6,6 +6,7 @@
 
 #include "elastic/policy.hpp"
 #include "elastic/workload.hpp"
+#include "opk/experiment.hpp"
 #include "scenario/spec.hpp"
 #include "schedsim/exec.hpp"
 #include "schedsim/jobmix.hpp"
@@ -61,8 +62,7 @@ class ClusterBackend final : public ExperimentBackend {
   schedsim::SimResult run_stream(trace::TraceSource& source) override;
 
  private:
-  ScenarioSpec spec_;
-  elastic::PolicyConfig policy_;
+  opk::ExperimentConfig config_;
   std::map<elastic::JobClass, elastic::Workload> workloads_;
 };
 
@@ -85,6 +85,13 @@ std::vector<schedsim::SubmittedJob> make_mix(const ScenarioSpec& spec,
 /// stamped with the spec's per-job limits. Requires `spec.is_trace()`.
 std::unique_ptr<trace::TraceSource> make_trace_source(const ScenarioSpec& spec,
                                                       unsigned seed);
+
+/// Run one seeded experiment of `spec` on `backend`: a trace spec replays
+/// a fresh `make_trace_source(spec, seed)`, any other spec runs
+/// `make_mix(spec, seed)`. Both are deterministic per seed, so every policy
+/// given the same seed sees the identical submissions.
+schedsim::SimResult run_seeded(ExperimentBackend& backend,
+                               const ScenarioSpec& spec, unsigned seed);
 
 /// Instantiate the spec's substrate.
 std::unique_ptr<ExperimentBackend> make_backend(

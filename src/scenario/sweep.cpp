@@ -99,23 +99,10 @@ SweepResult run_sweep(const ScenarioSpec& spec, int threads) {
     const unsigned cell_seed = spec.seed + static_cast<unsigned>(r);
     auto& cell = cells[i];
     cell.resize(num_policies);
-    if (point.is_trace()) {
-      // Trace cells stream instead of materializing a mix: every policy
-      // pulls a fresh source built from the same (spec, seed), so all
-      // policies replay the identical submission sequence.
-      for (std::size_t k = 0; k < num_policies; ++k) {
-        auto backend = make_backend(point, policy_for(point, spec.policies[k]),
-                                    point_workloads);
-        auto source = make_trace_source(point, cell_seed);
-        cell[k] = backend->run_stream(*source).metrics;
-      }
-      return;
-    }
-    const auto mix = make_mix(point, cell_seed);
     for (std::size_t k = 0; k < num_policies; ++k) {
       auto backend = make_backend(point, policy_for(point, spec.policies[k]),
                                   point_workloads);
-      cell[k] = backend->run(mix).metrics;
+      cell[k] = run_seeded(*backend, point, cell_seed).metrics;
     }
   });
 
@@ -155,13 +142,7 @@ RunMetrics run_repeats(const ScenarioSpec& spec,
   parallel_for(repeats, threads, [&](std::size_t r) {
     const unsigned seed = spec.seed + static_cast<unsigned>(r);
     auto backend = make_backend(spec, policy, workloads);
-    if (spec.is_trace()) {
-      auto source = make_trace_source(spec, seed);
-      runs[r] = backend->run_stream(*source).metrics;
-      return;
-    }
-    const auto mix = make_mix(spec, seed);
-    runs[r] = backend->run(mix).metrics;
+    runs[r] = run_seeded(*backend, spec, seed).metrics;
   });
   return elastic::average_metrics(runs);
 }
@@ -171,12 +152,7 @@ schedsim::SimResult run_single(const ScenarioSpec& spec, PolicyMode mode,
   spec.validate();
   const auto workloads = workloads_for(spec);
   auto backend = make_backend(spec, policy_for(spec, mode), workloads);
-  if (spec.is_trace()) {
-    auto source = make_trace_source(spec, mix_seed);
-    return backend->run_stream(*source);
-  }
-  const auto mix = make_mix(spec, mix_seed);
-  return backend->run(mix);
+  return run_seeded(*backend, spec, mix_seed);
 }
 
 std::map<PolicyMode, schedsim::SimResult> run_policies(

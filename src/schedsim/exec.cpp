@@ -84,6 +84,8 @@ SimResult ExecHarness::run(const std::vector<SubmittedJob>& mix) {
   schedule_faults();
   sim_.run();
 
+  // Fold records in id order; retire_job already closed the utilization
+  // window at each job's end.
   SimResult result;
   for (auto& [id, exec] : execs_) {
     EHPC_ENSURES(exec.done);  // every job must finish (or be failed)
@@ -102,7 +104,6 @@ SimResult ExecHarness::run_stream(trace::TraceSource& source) {
   EHPC_EXPECTS(!used_);  // single-shot per harness instance
   used_ = true;
   streaming_ = true;
-  collector_->enable_streaming();
   source_ = &source;
 
   std::optional<SubmittedJob> first = source.next();
@@ -297,10 +298,11 @@ void ExecHarness::task_timeout(JobId id) {
 }
 
 void ExecHarness::retire_job(JobId id) {
-  if (!streaming_) return;
   auto it = execs_.find(id);
   EHPC_ENSURES(it != execs_.end() && it->second.done);
   const elastic::JobRecord& record = it->second.record;
+  collector_->note_complete(record.complete_time);
+  if (!streaming_) return;  // run() folds records in id order at the end
   collector_->add_job(record);
   response_p50_.add(record.response_time());
   response_p99_.add(record.response_time());

@@ -24,7 +24,8 @@ namespace ehpc::schedsim {
 
 /// Compact summary of a streaming replay: counters plus online (P²)
 /// percentiles maintained as jobs retire, since per-job records are not
-/// retained. All zero for batch `run()`.
+/// retained. For batch `run()`, `jobs_submitted` and `peak_live_jobs` are
+/// the mix size and the percentiles stay zero.
 struct StreamStats {
   long jobs_submitted = 0;
   /// High-water mark of simultaneously tracked JobExec entries — the
@@ -243,9 +244,10 @@ class ExecHarness {
   void queue_timeout(elastic::JobId id);
   /// Task-timeout event: kill a still-running job and charge its runtime.
   void task_timeout(elastic::JobId id);
-  /// Streaming only: fold the finished job's record into the collector and
-  /// online percentiles, drop its engine state, and (if the substrate
-  /// allows) erase its JobExec.
+  /// Close the collector's utilization window at the finished job's end.
+  /// Streaming only: fold its record into the collector and online
+  /// percentiles, drop its engine state, and (if the substrate allows)
+  /// erase its JobExec.
   void retire_job(elastic::JobId id);
 
   // ---- fault injection (no-ops when the plan is empty) ----

@@ -123,7 +123,7 @@ TEST(RunStrategy, CommDrivenProposalsWaiveTheNeverWorseGuard) {
 /// reductions were priced from a hard-coded contention-free floor).
 class FixedCollectiveModel final : public net::NetworkModel {
  public:
-  FixedCollectiveModel(net::CostModel base, double collective_s)
+  FixedCollectiveModel(net::FlatNetworkModel base, double collective_s)
       : base_(base), collective_s_(collective_s) {}
 
   std::string name() const override { return "fixed-collective"; }
@@ -143,7 +143,7 @@ class FixedCollectiveModel final : public net::NetworkModel {
   }
 
  private:
-  net::CostModel base_;
+  net::FlatNetworkModel base_;
   double collective_s_;
 };
 
@@ -169,7 +169,7 @@ TEST(RuntimeCollectives, ReductionsArePricedByTheNetworkModel) {
   // inter_alpha tree floor for every reduction, so a contended (or here,
   // artificially slow) fabric never slowed collectives. With the seam in
   // place, each of the 4 supersteps pays the model's 1-second collective.
-  const net::CostModel pod = net::presets::pod_network();
+  const net::FlatNetworkModel pod = net::pod_network();
   const double flat_total = graph_run_seconds(
       std::make_shared<net::FlatNetworkModel>(pod));
   const double stretched_total = graph_run_seconds(
@@ -181,9 +181,8 @@ TEST(RuntimeCollectives, SaturatedTopologySlowsTheRunEndToEnd) {
   // A heavily oversubscribed fat-tree must make the same workload strictly
   // slower than the flat fabric — contention now reaches both point-to-point
   // messages and the per-superstep reductions.
-  const net::CostModel pod = net::presets::pod_network();
   const double flat_total = graph_run_seconds(
-      std::make_shared<net::FlatNetworkModel>(pod));
+      std::make_shared<net::FlatNetworkModel>(net::pod_network()));
   const double contended_total = graph_run_seconds(
       net::make_network_model("fattree", /*oversub=*/16.0));
   EXPECT_GT(contended_total, flat_total);

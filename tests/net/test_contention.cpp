@@ -15,7 +15,7 @@ namespace {
 
 ContentionConfig fattree_config(double oversub, double window_s = 1.0e-3,
                                 double per_hop_alpha_s = 0.0) {
-  ContentionConfig config{presets::pod_network(),
+  ContentionConfig config{pod_network(),
                           Topology::fat_tree(4, oversub, per_hop_alpha_s)};
   config.window_s = window_s;
   return config;
@@ -26,7 +26,7 @@ TEST(Contention, UncontendedTransfersAreBitIdenticalToFlat) {
   // contention model must reproduce the flat price bit for bit. This is the
   // equivalence that keeps all pre-existing baselines byte-identical.
   ContentionNetworkModel model(fattree_config(/*oversub=*/2.0));
-  const FlatNetworkModel flat(presets::pod_network());
+  const FlatNetworkModel flat = pod_network();
   double now = 0.0;
   for (const std::size_t bytes : {1u, 512u, 65536u, 1u << 22}) {
     for (const auto& route : std::vector<std::pair<int, int>>{
@@ -153,8 +153,7 @@ TEST(Contention, CollectiveLatencyStretchesWithFabricSharing) {
   ContentionNetworkModel model(fattree_config(/*oversub=*/1.0));
   const double quiet = model.collective_latency(16, 0.0);
   // Quiet fabric: exactly the classic contention-free tree estimate.
-  EXPECT_EQ(quiet, FlatNetworkModel(presets::pod_network())
-                       .collective_latency(16, 0.0));
+  EXPECT_EQ(quiet, pod_network().collective_latency(16, 0.0));
   // Saturate one access link with 4 same-window flows: sharing hits 4 and
   // a reduction observed in that window costs 4x the floor.
   for (int i = 0; i < 4; ++i) model.begin_transfer(1 << 20, 0, 1, 0.0);

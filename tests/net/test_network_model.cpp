@@ -1,7 +1,6 @@
-// The NetworkModel seam itself: the flat model must be bit-identical to the
-// concrete CostModel it wraps (every pre-existing baseline was recorded
-// against that math), the factory must parse the scenario-facing kinds, and
-// clone() must produce independent contention state.
+// The NetworkModel seam itself: the flat alpha-beta model's pricing, the
+// factory's scenario-facing kinds, and clone()'s independent contention
+// state.
 
 #include "net/network_model.hpp"
 
@@ -15,21 +14,33 @@
 namespace ehpc::net {
 namespace {
 
-TEST(FlatNetworkModel, IsBitIdenticalToTheCostModelItWraps) {
-  const CostModel base = presets::pod_network();
-  const FlatNetworkModel model(base);
-  const std::pair<int, int> routes[] = {{0, 0}, {0, 1}, {3, 17}};
-  for (const std::size_t bytes : {0u, 1u, 64u, 4096u, 1u << 20}) {
-    for (const auto& [src, dst] : routes) {
-      EXPECT_EQ(model.message_time(bytes, src, dst),
-                base.message_time(bytes, src, dst));
-    }
-  }
-  EXPECT_EQ(model.inter_alpha(), base.inter_alpha());
+TEST(LinkModel, TransferTimeIsAffine) {
+  LinkModel link{1.0e-6, 1.0e9};
+  EXPECT_DOUBLE_EQ(link.transfer_time(0), 1.0e-6);
+  EXPECT_DOUBLE_EQ(link.transfer_time(1'000'000), 1.0e-6 + 1.0e-3);
+}
+
+TEST(FlatNetworkModel, IntraVsInterNode) {
+  const FlatNetworkModel m(LinkModel{1.0e-6, 10.0e9}, LinkModel{20.0e-6, 1.0e9},
+                           1.0e-6);
+  const std::size_t bytes = 1 << 20;
+  EXPECT_LT(m.message_time(bytes, 0, 0), m.message_time(bytes, 0, 1));
+}
+
+TEST(FlatNetworkModel, SoftwareOverheadAlwaysPresent) {
+  const FlatNetworkModel m(LinkModel{0.0, 1.0e9}, LinkModel{0.0, 1.0e9},
+                           5.0e-6);
+  EXPECT_DOUBLE_EQ(m.message_time(0, 0, 0), 5.0e-6);
+  EXPECT_DOUBLE_EQ(m.inter_alpha(), 5.0e-6);
+}
+
+TEST(FlatNetworkModel, LargerMessagesCostMore) {
+  const FlatNetworkModel m = pod_network();
+  EXPECT_LT(m.message_time(1024, 0, 1), m.message_time(1 << 20, 0, 1));
 }
 
 TEST(FlatNetworkModel, BeginTransferIsTheStatelessPrice) {
-  FlatNetworkModel model(presets::pod_network());
+  FlatNetworkModel model = pod_network();
   const double lone = model.message_time(4096, 0, 1);
   // However many transfers depart in the same instant, a flat model never
   // charges contention.
@@ -39,7 +50,7 @@ TEST(FlatNetworkModel, BeginTransferIsTheStatelessPrice) {
 }
 
 TEST(NetworkModel, DefaultCollectiveLatencyIsTheClassicTreeFloor) {
-  const FlatNetworkModel model(presets::pod_network());
+  const FlatNetworkModel model = pod_network();
   const double alpha = model.inter_alpha();
   // ceil(log2(max(pes, 2))) * inter_alpha, bit-for-bit: this is the exact
   // expression the runtime used before the seam existed.
@@ -54,8 +65,8 @@ TEST(NetworkModel, DefaultModelIsFlatOverThePodNetwork) {
   const auto model = default_network_model();
   ASSERT_NE(model, nullptr);
   EXPECT_EQ(model->name(), "flat");
-  const CostModel pod = presets::pod_network();
-  EXPECT_EQ(model->message_time(65536, 0, 1), pod.message_time(65536, 0, 1));
+  EXPECT_EQ(model->message_time(65536, 0, 1),
+            pod_network().message_time(65536, 0, 1));
   // Process-wide singleton: configs seeded from it share one instance.
   EXPECT_EQ(default_network_model().get(), model.get());
 }

@@ -5,6 +5,8 @@
 #include "schedsim/calibrate.hpp"
 #include "schedsim/simulator.hpp"
 
+#include "../trace/vector_trace_source.hpp"
+
 namespace ehpc::opk {
 namespace {
 
@@ -132,6 +134,27 @@ TEST(ClusterExperiment, DeterministicAcrossRuns) {
   ClusterExperiment b(config(PolicyMode::kElastic), workloads);
   EXPECT_DOUBLE_EQ(a.run(mix).metrics.total_time_s,
                    b.run(mix).metrics.total_time_s);
+}
+
+TEST(ClusterExperiment, StreamMatchesBatchRun) {
+  // The two drive modes order same-time events and fold records
+  // differently, but on the cluster substrate too they must land on the
+  // same makespan and utilization bits: both close the utilization window
+  // as each job ends, so pod-teardown usage after the last completion is
+  // excluded either way.
+  auto workloads = schedsim::analytic_workloads();
+  schedsim::JobMixGenerator gen(11);
+  const auto mix = gen.generate(24, 40.0);
+  for (auto mode : {PolicyMode::kRigidMin, PolicyMode::kRigidMax,
+                    PolicyMode::kMoldable, PolicyMode::kElastic}) {
+    ClusterExperiment batch(config(mode), workloads);
+    const auto a = batch.run(mix).metrics;
+    trace::VectorTraceSource source(mix);
+    ClusterExperiment stream(config(mode), workloads);
+    const auto b = stream.run_stream(source).metrics;
+    EXPECT_EQ(a.total_time_s, b.total_time_s) << elastic::to_string(mode);
+    EXPECT_EQ(a.utilization, b.utilization) << elastic::to_string(mode);
+  }
 }
 
 }  // namespace
