@@ -1,6 +1,6 @@
 // google-benchmark micro-benchmarks for the substrate hot paths: DES event
-// dispatch, minicharm message delivery, load-balancing strategies, PUP
-// serialization, and the policy engine itself.
+// dispatch, minicharm message delivery, load-balancing strategies, the
+// contention network model, PUP serialization, and the policy engine itself.
 
 #include <benchmark/benchmark.h>
 
@@ -184,6 +184,48 @@ void BM_LoadBalancer(benchmark::State& state, const char* name) {
 }
 BENCHMARK_CAPTURE(BM_LoadBalancer, greedy, "greedy")->Arg(256)->Arg(4096);
 BENCHMARK_CAPTURE(BM_LoadBalancer, refine, "refine")->Arg(256)->Arg(4096);
+
+// CommRefineLB over a measured power-law comm graph: 64 objects on 32 PEs
+// (4 per node), edges drawn towards low-index hubs, priced once from a
+// fat-tree oversub-4 table as the runtime does each LB step. Items =
+// objects placed.
+void BM_CommRefineLb(benchmark::State& state) {
+  constexpr int kObjects = 64;
+  constexpr int kPesPerNode = 4;
+  constexpr std::size_t kRefBytes = 65536;
+  Rng rng(29);
+  std::vector<charm::LbObject> objects;
+  for (int i = 0; i < kObjects; ++i) {
+    charm::LbObject o;
+    o.elem = i;
+    o.load = rng.uniform(0.1, 2.0);
+    o.current_pe = static_cast<charm::PeId>(rng.uniform_int(0, 31));
+    objects.push_back(o);
+  }
+  charm::LbCommGraph comm;
+  for (int e = 0; e < 4 * kObjects; ++e) {
+    const double u = rng.uniform(0.0, 1.0);
+    comm.edges.push_back(
+        {static_cast<int>(kObjects * u * u * u),
+         static_cast<int>(rng.uniform_int(0, kObjects - 1)),
+         rng.uniform(1.0e3, 1.0e6)});
+  }
+  std::vector<charm::PeId> pes(32);
+  std::iota(pes.begin(), pes.end(), 0);
+  const auto model = net::make_network_model("fattree", /*oversub=*/4.0);
+  comm.set_prices(
+      pes, [](charm::PeId pe) { return pe / kPesPerNode; },
+      [&](int x, int y) {
+        return model->message_time(kRefBytes, x, y) /
+               static_cast<double>(kRefBytes);
+      });
+  const charm::CommRefineLb lb;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(lb.assign(objects, comm, pes));
+  }
+  state.SetItemsProcessed(state.iterations() * kObjects);
+}
+BENCHMARK(BM_CommRefineLb);
 
 // Full graph superstep loop on minicharm: Chung-Lu generation, the scatter /
 // inbox messaging, per-superstep reductions and periodic comm-aware LB over

@@ -161,16 +161,23 @@ LbAssignment CommRefineLb::assign(const std::vector<LbObject>& objects,
                                   const std::vector<PeId>& available_pes) const {
   EHPC_EXPECTS(!available_pes.empty());
   if (comm.empty()) return assign(objects, available_pes);
+  // The price table must cover every PE a move can name.
+  EHPC_EXPECTS(comm.pe_node.size() >
+               static_cast<std::size_t>(available_pes.back()));
+  for (PeId pe : available_pes) {
+    EHPC_EXPECTS(comm.pe_node[static_cast<std::size_t>(pe)] >= 0);
+  }
 
   // Seed with the best compute balance, then spend the tolerance headroom
   // on traffic locality.
   LbAssignment out = GreedyLb().assign(objects, available_pes);
 
-  std::map<PeId, double> pe_load;
-  for (PeId pe : available_pes) pe_load[pe] = 0.0;
+  // Indexed by PeId: the candidate loop below reads it for every candidate.
+  std::vector<double> pe_load(
+      static_cast<std::size_t>(available_pes.back()) + 1, 0.0);
   double total_load = 0.0;
   for (std::size_t i = 0; i < objects.size(); ++i) {
-    pe_load[out[i]] += objects[i].load;
+    pe_load[static_cast<std::size_t>(out[i])] += objects[i].load;
     total_load += objects[i].load;
   }
   const double cap =
@@ -216,7 +223,9 @@ LbAssignment CommRefineLb::assign(const std::vector<LbObject>& objects,
       PeId best_pe = from;
       for (PeId pe : available_pes) {
         if (pe == from) continue;
-        if (pe_load[pe] + objects[i].load > cap) continue;
+        if (pe_load[static_cast<std::size_t>(pe)] + objects[i].load > cap) {
+          continue;
+        }
         const double cost = comm_cost(i, pe);
         if (cost < best_cost) {
           best_cost = cost;
@@ -224,8 +233,8 @@ LbAssignment CommRefineLb::assign(const std::vector<LbObject>& objects,
         }
       }
       if (best_pe != from) {
-        pe_load[from] -= objects[i].load;
-        pe_load[best_pe] += objects[i].load;
+        pe_load[static_cast<std::size_t>(from)] -= objects[i].load;
+        pe_load[static_cast<std::size_t>(best_pe)] += objects[i].load;
         out[i] = best_pe;
         moved = true;
       }

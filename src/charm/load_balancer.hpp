@@ -1,6 +1,6 @@
 #pragma once
 
-#include <functional>
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -26,9 +26,10 @@ using LbAssignment = std::vector<PeId>;
 /// Edge endpoints index into the `objects` vector passed alongside it;
 /// `bytes` is the traffic measured between the two objects since the last
 /// LB step (both directions summed). `byte_cost(a, b)` prices one byte
-/// between two PEs in virtual-time seconds — supplied by the runtime from
-/// its NetworkModel so placement cost reflects the actual topology
-/// (same-PE traffic is free, cross-rack traffic dearest).
+/// between two PEs in virtual-time seconds from a node-pair price table
+/// the runtime fills once per LB step from its NetworkModel, so placement
+/// cost reflects the actual topology (same-PE traffic is free, cross-rack
+/// traffic dearest) without pricing a message per candidate move.
 struct LbCommGraph {
   struct Edge {
     int a = 0;
@@ -36,9 +37,46 @@ struct LbCommGraph {
     double bytes = 0.0;
   };
   std::vector<Edge> edges;
-  std::function<double(PeId, PeId)> byte_cost;
+  /// Row of each PE's node in `node_price`, indexed by PeId; -1 for PEs
+  /// outside the priced set.
+  std::vector<int> pe_node;
+  /// Per-byte price between priced nodes, row-major `nodes` x `nodes`.
+  std::vector<double> node_price;
+  int nodes = 0;
 
-  bool empty() const { return edges.empty() || !byte_cost; }
+  bool empty() const { return edges.empty() || nodes == 0; }
+
+  double byte_cost(PeId a, PeId b) const {
+    if (a == b) return 0.0;
+    const int row = pe_node[static_cast<std::size_t>(a)];
+    const int col = pe_node[static_cast<std::size_t>(b)];
+    return node_price[static_cast<std::size_t>(row * nodes + col)];
+  }
+
+  /// Fill the price table for `pes` (sorted ascending): `node_of(pe)` names
+  /// each PE's node and `price(x, y)` the per-byte cost from node x to node
+  /// y. `price` is called once per ordered pair of nodes hosting `pes`,
+  /// diagonal included.
+  template <class NodeOf, class Price>
+  void set_prices(const std::vector<PeId>& pes, NodeOf node_of, Price price) {
+    std::vector<int> node_ids;  // row -> node id, in first-seen order
+    pe_node.assign(pes.empty() ? 0 : static_cast<std::size_t>(pes.back()) + 1,
+                   -1);
+    for (PeId pe : pes) {
+      const int node = node_of(pe);
+      const auto it = std::find(node_ids.begin(), node_ids.end(), node);
+      pe_node[static_cast<std::size_t>(pe)] =
+          static_cast<int>(it - node_ids.begin());
+      if (it == node_ids.end()) node_ids.push_back(node);
+    }
+    nodes = static_cast<int>(node_ids.size());
+    node_price.resize(node_ids.size() * node_ids.size());
+    for (std::size_t x = 0; x < node_ids.size(); ++x) {
+      for (std::size_t y = 0; y < node_ids.size(); ++y) {
+        node_price[x * node_ids.size() + y] = price(node_ids[x], node_ids[y]);
+      }
+    }
+  }
 };
 
 /// Strategy interface. Strategies are centralized (they see all objects),

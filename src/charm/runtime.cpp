@@ -28,6 +28,20 @@ double identity(ReduceOp op) {
   }
   return 0.0;
 }
+
+// Packed (src array, src elem, dst array, dst elem) key for the per-pair
+// traffic map: 8 bits per array id, 24 bits per element id. A comm-tracking
+// runtime refuses arrays beyond those widths instead of aliasing their keys.
+constexpr ArrayId kCommArrays = 1 << 8;
+constexpr int kCommElements = 1 << 24;
+
+std::uint64_t comm_key(ArrayId src_array, ElementId src_elem, ArrayId dst_array,
+                       ElementId dst_elem) {
+  return (static_cast<std::uint64_t>(src_array & 0xff) << 56) |
+         (static_cast<std::uint64_t>(src_elem & 0xffffff) << 32) |
+         (static_cast<std::uint64_t>(dst_array & 0xff) << 24) |
+         static_cast<std::uint64_t>(dst_elem & 0xffffff);
+}
 }  // namespace
 
 Runtime::Runtime(RuntimeConfig config)
@@ -60,6 +74,14 @@ ArrayId Runtime::create_array(std::string name, int num_elements,
                               ElementFactory factory) {
   EHPC_EXPECTS(num_elements > 0);
   EHPC_EXPECTS(factory != nullptr);
+  if (track_comm_ && (arrays_.size() >= static_cast<std::size_t>(kCommArrays) ||
+                      num_elements > kCommElements)) {
+    throw PreconditionError(
+        "comm-aware load balancing tracks at most 256 arrays of at most "
+        "2^24 elements each: array " + name + " has " +
+        std::to_string(num_elements) + " elements and would be array " +
+        std::to_string(arrays_.size()));
+  }
   const ArrayId id = loc_.add_array(num_elements, num_pes_);
   ArrayState state;
   state.name = std::move(name);
@@ -121,18 +143,6 @@ void Runtime::release_env(EnvIndex idx) {
   env_at(idx).fn = nullptr;
   env_free_.push_back(idx);
 }
-
-namespace {
-// Packed (src array, src elem, dst array, dst elem) key for the per-pair
-// traffic map: 8 bits per array id, 24 bits per element id.
-std::uint64_t comm_key(ArrayId src_array, ElementId src_elem, ArrayId dst_array,
-                       ElementId dst_elem) {
-  return (static_cast<std::uint64_t>(src_array & 0xff) << 56) |
-         (static_cast<std::uint64_t>(src_elem & 0xffffff) << 32) |
-         (static_cast<std::uint64_t>(dst_array & 0xff) << 24) |
-         static_cast<std::uint64_t>(dst_elem & 0xffffff);
-}
-}  // namespace
 
 void Runtime::enqueue_send(ArrayId array, ElementId elem, std::size_t bytes,
                            EntryId entry, Handler&& fn) {
@@ -433,12 +443,15 @@ double Runtime::stage_load_balance(const std::vector<PeId>& available_pes,
     }
     // Reference-size transfer amortizes the per-message alpha: the graph
     // weights are bulk bytes, so price them at bulk per-byte cost.
+    // message_time is pure, so one price per node pair serves the whole
+    // step.
     constexpr std::size_t kRefBytes = 65536;
-    comm.byte_cost = [this](PeId a, PeId b) {
-      if (a == b) return 0.0;
-      return net_->message_time(kRefBytes, node_of(a), node_of(b)) /
-             static_cast<double>(kRefBytes);
-    };
+    comm.set_prices(
+        available_pes, [this](PeId pe) { return node_of(pe); },
+        [this](int x, int y) {
+          return net_->message_time(kRefBytes, x, y) /
+                 static_cast<double>(kRefBytes);
+        });
   }
 
   LbStepStats stats;

@@ -110,7 +110,10 @@ class Runtime {
 
   /// Create a chare array of `num_elements`, initially mapped round-robin
   /// over the PEs. The factory constructs a fresh (un-restored) element and
-  /// is reused to rebuild elements after a restart.
+  /// is reused to rebuild elements after a restart. A runtime whose load
+  /// balancer is comm-aware accepts at most 256 arrays of at most 2^24
+  /// elements (its traffic ledger packs both ids into one key) and throws
+  /// PreconditionError beyond that.
   ArrayId create_array(std::string name, int num_elements, ElementFactory factory);
 
   int num_elements(ArrayId array) const { return loc_.num_elements(array); }

@@ -75,16 +75,18 @@ double ContentionNetworkModel::begin_transfer(std::size_t bytes, int src_node,
   const bool share = config_.window_s > 0.0;
   double bottleneck = 1.0;
   for (const LinkId link : path_buf_) {
+    const std::size_t slot = Topology::link_slot(link);
+    if (slot >= links_.size()) links_.resize(slot + 1);
+    LinkState& ls = links_[slot];
     int k = 1;
     if (share) {
-      LinkWindow& lw = live_[link];
-      if (lw.window != window) {
-        lw.window = window;
-        lw.count = 0;
+      if (ls.window != window) {
+        ls.window = window;
+        ls.count = 0;
       }
-      k = ++lw.count;
+      k = ++ls.count;
     }
-    LinkStats& st = stats_[link];
+    LinkStats& st = ls.stats;
     st.demand_bytes += static_cast<double>(bytes);
     st.transfers += 1;
     st.peak_sharing = std::max(st.peak_sharing, k);
@@ -108,13 +110,28 @@ double ContentionNetworkModel::begin_transfer(std::size_t bytes, int src_node,
 double ContentionNetworkModel::sharing_at(double now) const {
   if (config_.window_s <= 0.0) return 1.0;
   const std::int64_t window = window_index(now);
+  // Every link's own window, not a running maximum: departures are not
+  // monotone (a NIC can push one into a later window), and a link resets
+  // its count whenever it sees a different window, even an earlier one.
   double sharing = 1.0;
-  for (const auto& [link, lw] : live_) {
-    if (lw.window != window) continue;
-    sharing = std::max(sharing, static_cast<double>(lw.count) /
-                                    config_.topology.bandwidth_share(link));
+  for (std::size_t slot = 0; slot < links_.size(); ++slot) {
+    if (links_[slot].window != window) continue;
+    sharing = std::max(sharing,
+                       static_cast<double>(links_[slot].count) /
+                           config_.topology.bandwidth_share(
+                               Topology::slot_link(slot)));
   }
   return sharing;
+}
+
+std::map<LinkId, LinkStats> ContentionNetworkModel::link_stats() const {
+  std::map<LinkId, LinkStats> out;
+  for (std::size_t slot = 0; slot < links_.size(); ++slot) {
+    if (links_[slot].stats.transfers > 0) {
+      out.emplace(Topology::slot_link(slot), links_[slot].stats);
+    }
+  }
+  return out;
 }
 
 double ContentionNetworkModel::collective_latency(int pes, double now) const {

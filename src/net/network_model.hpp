@@ -176,9 +176,10 @@ class ContentionNetworkModel final : public NetworkModel {
 
   const ContentionConfig& config() const { return config_; }
 
-  /// Cumulative per-link accounting since construction (conservation
-  /// checks: summing demand_bytes per kind recovers injected traffic).
-  const std::map<LinkId, LinkStats>& link_stats() const { return stats_; }
+  /// Cumulative accounting of every link crossed since construction
+  /// (conservation checks: summing demand_bytes per kind recovers injected
+  /// traffic). Built on demand from the dense per-link state.
+  std::map<LinkId, LinkStats> link_stats() const;
 
   /// Highest k_link / share_link across links active in the window
   /// containing `now`; 1.0 when the fabric is quiet. This is the factor
@@ -186,16 +187,18 @@ class ContentionNetworkModel final : public NetworkModel {
   double sharing_at(double now) const;
 
  private:
-  struct LinkWindow {
+  struct LinkState {
     std::int64_t window = -1;  ///< window index of `count`'s last reset
     int count = 0;             ///< transfers begun in that window
+    LinkStats stats;
   };
 
   std::int64_t window_index(double now) const;
 
   ContentionConfig config_;
-  std::map<LinkId, LinkWindow> live_;
-  std::map<LinkId, LinkStats> stats_;
+  /// Indexed by Topology::link_slot; grown on the first transfer that
+  /// crosses a link beyond its end, so construction allocates nothing.
+  std::vector<LinkState> links_;
   mutable std::vector<LinkId> path_buf_;
 };
 

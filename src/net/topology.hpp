@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -58,6 +59,18 @@ class Topology {
   /// Compact "fattree(radix=4,oversub=2)" rendering for logs and configs.
   std::string describe() const;
 
+  /// Dense slot of `link` (kind + kNumKinds * index): every link of the
+  /// nodes and groups below some index maps into one small prefix of the
+  /// slots, so per-link state can live in a vector. `slot_link` inverts it.
+  static std::size_t link_slot(LinkId link) {
+    return static_cast<std::size_t>(kind_of(link)) +
+           kNumKinds * static_cast<std::size_t>(link & 0xffffffff);
+  }
+  static LinkId slot_link(std::size_t slot) {
+    return make_link(static_cast<Kind>(slot % kNumKinds),
+                     static_cast<int>(slot / kNumKinds));
+  }
+
  private:
   Topology(Shape shape, int radix, double oversub, double per_hop_alpha_s);
 
@@ -70,6 +83,7 @@ class Topology {
     kCoreDown = 3,
     kGroupLocal = 4,
   };
+  static constexpr std::size_t kNumKinds = 5;
   static LinkId make_link(Kind kind, int index) {
     return (static_cast<LinkId>(kind) << 32) | static_cast<LinkId>(index);
   }

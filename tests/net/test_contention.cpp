@@ -7,7 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <map>
+#include <random>
+#include <utility>
 #include <vector>
 
 namespace ehpc::net {
@@ -175,6 +181,159 @@ TEST(Contention, OversubscribedCoreStretchesEarlierThanAccessLinks) {
   EXPECT_EQ(model.begin_transfer(bytes, 0, 5, 0.0), flat);
   // Distinct endpoints, same racks: only the core is shared.
   EXPECT_DOUBLE_EQ(model.begin_transfer(bytes, 1, 6, 0.0), flat + slice);
+}
+
+/// The contention accounting as a pair of std::maps keyed by LinkId: the
+/// reference the dense per-link state must reproduce.
+class MapContentionOracle {
+ public:
+  explicit MapContentionOracle(ContentionConfig config)
+      : config_(std::move(config)) {}
+
+  double begin_transfer(std::size_t bytes, int src, int dst, double now) {
+    if (src == dst) return config_.base.message_time(bytes, src, dst);
+    config_.topology.path(src, dst, &path_);
+    const bool share = config_.window_s > 0.0;
+    const auto window = window_index(now);
+    double bottleneck = 1.0;
+    for (const LinkId link : path_) {
+      int k = 1;
+      if (share) {
+        auto& [w, count] = live_[link];
+        if (w != window) {
+          w = window;
+          count = 0;
+        }
+        k = ++count;
+      }
+      LinkStats& st = stats_[link];
+      st.demand_bytes += static_cast<double>(bytes);
+      st.transfers += 1;
+      st.peak_sharing = std::max(st.peak_sharing, k);
+      bottleneck = std::max(bottleneck, static_cast<double>(k) /
+                                            config_.topology.bandwidth_share(link));
+    }
+    double t = config_.base.message_time(bytes, src, dst) +
+               config_.topology.per_hop_alpha_s() *
+                   static_cast<double>(path_.size());
+    if (bottleneck > 1.0) {
+      t += (bottleneck - 1.0) * (static_cast<double>(bytes) /
+                                 config_.base.inter_node().bandwidth_Bps);
+    }
+    return t;
+  }
+
+  double sharing_at(double now) const {
+    if (config_.window_s <= 0.0) return 1.0;
+    double sharing = 1.0;
+    for (const auto& [link, lw] : live_) {
+      if (lw.first != window_index(now)) continue;
+      sharing = std::max(sharing, static_cast<double>(lw.second) /
+                                      config_.topology.bandwidth_share(link));
+    }
+    return sharing;
+  }
+
+  const std::map<LinkId, LinkStats>& link_stats() const { return stats_; }
+
+ private:
+  std::int64_t window_index(double now) const {
+    if (config_.window_s <= 0.0) return 0;
+    return static_cast<std::int64_t>(std::floor(now / config_.window_s));
+  }
+
+  ContentionConfig config_;
+  std::map<LinkId, std::pair<std::int64_t, int>> live_;  // (window, count)
+  std::map<LinkId, LinkStats> stats_;
+  std::vector<LinkId> path_;
+};
+
+void expect_same_stats(const std::map<LinkId, LinkStats>& got,
+                       const std::map<LinkId, LinkStats>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (const auto& [link, stats] : want) {
+    const auto it = got.find(link);
+    ASSERT_NE(it, got.end()) << link;
+    EXPECT_EQ(it->second.demand_bytes, stats.demand_bytes) << link;
+    EXPECT_EQ(it->second.transfers, stats.transfers) << link;
+    EXPECT_EQ(it->second.peak_sharing, stats.peak_sharing) << link;
+  }
+}
+
+TEST(Contention, OutOfOrderWindowsResetPerLink) {
+  // Departures are not monotone: a NIC can push one into a later window
+  // while another node still sends into an earlier one. Transfers over one
+  // route at windows 5, 5, 4, 5: the link resets its count on every window
+  // change, even back to an earlier window, so the last transfer is alone
+  // again and window 5 reads quiet. A per-window running maximum would
+  // remember the sharing of 2.
+  ContentionConfig config = fattree_config(/*oversub=*/1.0, /*window_s=*/1.0);
+  ContentionNetworkModel model(config);
+  MapContentionOracle oracle(config);
+  const std::size_t bytes = 1 << 20;
+  const double base = config.base.message_time(bytes, 0, 1);
+  const double slice =
+      static_cast<double>(bytes) / config.base.inter_node().bandwidth_Bps;
+  const double departs[] = {5.25, 5.5, 4.5, 5.75};
+  const double want[] = {base, base + slice, base, base};
+  for (int i = 0; i < 4; ++i) {
+    const double t = model.begin_transfer(bytes, 0, 1, departs[i]);
+    EXPECT_EQ(t, oracle.begin_transfer(bytes, 0, 1, departs[i])) << i;
+    EXPECT_DOUBLE_EQ(t, want[i]) << i;
+  }
+  for (const double now : {4.5, 5.5}) {
+    EXPECT_EQ(model.sharing_at(now), oracle.sharing_at(now)) << now;
+    EXPECT_EQ(model.sharing_at(now), 1.0) << now;
+  }
+  expect_same_stats(model.link_stats(), oracle.link_stats());
+  for (const auto& [link, stats] : model.link_stats()) {
+    EXPECT_EQ(stats.transfers, 4) << link;
+    EXPECT_EQ(stats.peak_sharing, 2) << link;
+  }
+
+  // Two more flows share route 2->3 in window 5, then route 0->1 steps
+  // back to window 4. Window 5 still holds route 2->3's sharing of 2; a
+  // single fabric-wide running maximum would have reset on window 4.
+  for (const double now : {5.25, 5.5, 4.25}) {
+    const int src = now < 5.0 ? 0 : 2;
+    EXPECT_EQ(model.begin_transfer(bytes, src, src + 1, now),
+              oracle.begin_transfer(bytes, src, src + 1, now))
+        << now;
+  }
+  EXPECT_EQ(model.sharing_at(5.5), 2.0);
+  EXPECT_EQ(model.sharing_at(4.5), 1.0);
+  for (const double now : {4.5, 5.5}) {
+    EXPECT_EQ(model.sharing_at(now), oracle.sharing_at(now)) << now;
+  }
+  expect_same_stats(model.link_stats(), oracle.link_stats());
+}
+
+TEST(Contention, DenseStateMatchesMapOracleOnShuffledDepartures) {
+  // Seeded traffic over 24 nodes on both shapes, departures drawn out of
+  // order across a handful of windows: every duration, every link's
+  // accounting and the sharing in every window match the map oracle.
+  for (const bool fattree : {true, false}) {
+    ContentionConfig config{
+        pod_network(), fattree ? Topology::fat_tree(4, 8.0, 2.0e-6)
+                               : Topology::dragonfly(4, 8.0, 2.0e-6)};
+    ContentionNetworkModel model(config);
+    MapContentionOracle oracle(config);
+    std::mt19937_64 rng(fattree ? 11 : 13);
+    for (int i = 0; i < 2000; ++i) {
+      const int src = static_cast<int>(rng() % 24);
+      const int dst = static_cast<int>(rng() % 24);
+      const std::size_t bytes = 64 + rng() % (1 << 20);
+      const double now = static_cast<double>(rng() % 8000) * 1.0e-6;
+      ASSERT_EQ(model.begin_transfer(bytes, src, dst, now),
+                oracle.begin_transfer(bytes, src, dst, now))
+          << i;
+    }
+    for (int w = 0; w < 9; ++w) {
+      const double now = (static_cast<double>(w) + 0.5) * 1.0e-3;
+      EXPECT_EQ(model.sharing_at(now), oracle.sharing_at(now)) << w;
+    }
+    expect_same_stats(model.link_stats(), oracle.link_stats());
+  }
 }
 
 }  // namespace
