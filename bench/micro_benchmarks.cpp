@@ -141,28 +141,6 @@ void BM_RuntimeMessageDelivery(benchmark::State& state) {
 }
 BENCHMARK(BM_RuntimeMessageDelivery)->Arg(1000)->Arg(10000);
 
-// Same delivery load through a pre-registered entry method: dispatch is
-// fully pre-resolved, no per-message callable copy.
-void BM_RuntimeEntrySendDelivery(benchmark::State& state) {
-  for (auto _ : state) {
-    charm::RuntimeConfig cfg;
-    cfg.num_pes = 16;
-    charm::Runtime rt(cfg);
-    auto array = rt.create_array("a", 64, [](charm::ElementId) {
-      return std::make_unique<NopChare>();
-    });
-    const charm::EntryId entry =
-        rt.register_entry([](charm::Chare&, charm::Runtime&) {});
-    const int n = static_cast<int>(state.range(0));
-    for (int i = 0; i < n; ++i) {
-      rt.send(array, i % 64, 64, entry);
-    }
-    benchmark::DoNotOptimize(rt.run());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_RuntimeEntrySendDelivery)->Arg(1000)->Arg(10000);
-
 void BM_LoadBalancer(benchmark::State& state, const char* name) {
   Rng rng(7);
   std::vector<charm::LbObject> objects;

@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
   k8s::Cluster cluster;
   cluster.add_nodes("node", cfg.get_int("nodes", 4),
                     {cfg.get_int("cpus_per_node", 16), 32768});
-  k8s::ObjectStore<opk::CharmJob> jobs;
+  k8s::ObjectStore<opk::CharmJob> jobs{cluster.sim()};
   opk::CharmJobController controller(cluster, jobs, {});
 
   // Watch pod transitions like `kubectl get pods -w`.

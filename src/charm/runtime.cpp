@@ -118,8 +118,7 @@ void Runtime::set_bytes_scale(ArrayId array, double scale) {
 }
 
 Runtime::EnvIndex Runtime::alloc_env(ArrayId array, ElementId elem,
-                                     std::size_t bytes, EntryId entry,
-                                     Handler&& fn) {
+                                     std::size_t bytes, Handler&& fn) {
   EnvIndex idx;
   if (!env_free_.empty()) {
     idx = env_free_.back();
@@ -134,7 +133,6 @@ Runtime::EnvIndex Runtime::alloc_env(ArrayId array, ElementId elem,
   env.array = array;
   env.elem = elem;
   env.bytes = bytes;
-  env.entry = entry;
   env.fn = std::move(fn);
   return idx;
 }
@@ -144,9 +142,9 @@ void Runtime::release_env(EnvIndex idx) {
   env_free_.push_back(idx);
 }
 
-void Runtime::enqueue_send(ArrayId array, ElementId elem, std::size_t bytes,
-                           EntryId entry, Handler&& fn) {
-  const EnvIndex idx = alloc_env(array, elem, bytes, entry, std::move(fn));
+void Runtime::send(ArrayId array, ElementId elem, std::size_t bytes, Handler fn) {
+  EHPC_EXPECTS(fn != nullptr);
+  const EnvIndex idx = alloc_env(array, elem, bytes, std::move(fn));
   if (in_handler_) {
     // Measured object-communication graph for comm-aware LB: attribute the
     // bytes to the (sender object, receiver object) pair. Driver-context
@@ -163,32 +161,9 @@ void Runtime::enqueue_send(ArrayId array, ElementId elem, std::size_t bytes,
   }
 }
 
-EntryId Runtime::register_entry(Handler fn) {
-  EHPC_EXPECTS(fn != nullptr);
-  entries_.push_back(std::move(fn));
-  return static_cast<EntryId>(entries_.size()) - 1;
-}
-
-void Runtime::send(ArrayId array, ElementId elem, std::size_t bytes, Handler fn) {
-  EHPC_EXPECTS(fn != nullptr);
-  enqueue_send(array, elem, bytes, kInvalidEntry, std::move(fn));
-}
-
-void Runtime::send(ArrayId array, ElementId elem, std::size_t bytes,
-                   EntryId entry) {
-  EHPC_EXPECTS(entry >= 0 &&
-               static_cast<std::size_t>(entry) < entries_.size());
-  enqueue_send(array, elem, bytes, entry, nullptr);
-}
-
 void Runtime::broadcast(ArrayId array, std::size_t bytes, const Handler& fn) {
   const int n = loc_.num_elements(array);
   for (ElementId e = 0; e < n; ++e) send(array, e, bytes, fn);
-}
-
-void Runtime::broadcast(ArrayId array, std::size_t bytes, EntryId entry) {
-  const int n = loc_.num_elements(array);
-  for (ElementId e = 0; e < n; ++e) send(array, e, bytes, entry);
 }
 
 void Runtime::charge_flops(double flops) {
@@ -276,9 +251,7 @@ void Runtime::start_service(PeId pe) {
   Envelope& env = env_at(env_idx);
   const ArrayId array = env.array;
   const ElementId elem = env.elem;
-  const EntryId entry = env.entry;
-  Handler local_fn;
-  if (entry == kInvalidEntry) local_fn = std::move(env.fn);
+  Handler fn = std::move(env.fn);
   release_env(env_idx);
 
   // Execute the entry method now (virtual service start); its effects are
@@ -300,11 +273,6 @@ void Runtime::start_service(PeId pe) {
     // creates a new array and arrays_ reallocates (which is why arr is not
     // reused past this block).
     Chare& chare = *arr.elements[static_cast<std::size_t>(elem)];
-    // entries_ is a deque: the reference stays valid even if the handler
-    // registers more entry methods.
-    Handler& fn = entry != kInvalidEntry
-                      ? entries_[static_cast<std::size_t>(entry)]
-                      : local_fn;
     fn(chare, *this);
   }
 

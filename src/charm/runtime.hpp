@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -55,13 +54,6 @@ struct RuntimeConfig {
 
 /// Reduction combiners available to `contribute`.
 enum class ReduceOp { kSum, kMax, kMin };
-
-/// Handle to an entry method pre-registered with `Runtime::register_entry`.
-/// Dispatch through an EntryId is fully pre-resolved: delivery copies no
-/// callable and performs no hashing — the hot path for per-iteration sends.
-using EntryId = int;
-
-inline constexpr EntryId kInvalidEntry = -1;
 
 /// The minicharm runtime: a message-driven, migratable-objects runtime
 /// emulated in virtual time (BigSim style).
@@ -134,27 +126,14 @@ class Runtime {
 
   // ---- messaging ----
 
-  /// Register an entry method once; subsequent sends address it by id.
-  /// Registered handlers live for the runtime's lifetime.
-  EntryId register_entry(Handler fn);
-
   /// Send a message of `bytes` to an element; `fn` runs on the destination
   /// as the entry method. Callable from inside a handler (cost charged from
   /// the executing PE at handler completion) or from driver/reduction-client
   /// context (charged from PE 0 at the current time).
   void send(ArrayId array, ElementId elem, std::size_t bytes, Handler fn);
 
-  /// Send addressed to a pre-registered entry method: no per-message
-  /// callable copy, envelope comes from the pool.
-  void send(ArrayId array, ElementId elem, std::size_t bytes, EntryId entry);
-
-  /// Send `fn` to every element of the array. Copies `fn` once per element;
-  /// hot-loop broadcasts should register the handler and use the EntryId
-  /// overload instead.
+  /// Send `fn` to every element of the array (one copy per element).
   void broadcast(ArrayId array, std::size_t bytes, const Handler& fn);
-
-  /// Broadcast a pre-registered entry method (no callable copies at all).
-  void broadcast(ArrayId array, std::size_t bytes, EntryId entry);
 
   /// Add compute work to the currently executing entry method. Only valid
   /// inside a handler. The work also counts toward the element's LB load.
@@ -262,8 +241,7 @@ class Runtime {
     ArrayId array = -1;
     ElementId elem = -1;
     std::size_t bytes = 0;
-    EntryId entry = kInvalidEntry;  // registered dispatch; fn unused if set
-    Handler fn;                     // ad hoc dispatch
+    Handler fn;
   };
   using EnvIndex = std::uint32_t;
   static constexpr std::uint32_t kEnvChunkShift = 6;  // 64 envelopes per chunk
@@ -321,10 +299,8 @@ class Runtime {
     return env_chunks_[idx >> kEnvChunkShift][idx & kEnvChunkMask];
   }
   EnvIndex alloc_env(ArrayId array, ElementId elem, std::size_t bytes,
-                     EntryId entry, Handler&& fn);
+                     Handler&& fn);
   void release_env(EnvIndex idx);
-  void enqueue_send(ArrayId array, ElementId elem, std::size_t bytes,
-                    EntryId entry, Handler&& fn);
   /// Drop all queued (undelivered) envelopes and rebuild `new_pes` empty PEs.
   void reset_pes(int new_pes);
   void rebuild_node_table();
@@ -372,12 +348,10 @@ class Runtime {
   std::uint32_t pe_epoch_ = 0;
 
   // Message envelope pool (chunked arena: stable addresses, no moves on
-  // growth, free-list recycling) and the registered entry-method table
-  // (deque: handler references stay stable while handlers register more).
+  // growth, free-list recycling).
   std::vector<std::unique_ptr<Envelope[]>> env_chunks_;
   std::uint32_t env_high_water_ = 0;
   std::vector<EnvIndex> env_free_;
-  std::deque<Handler> entries_;
   std::vector<int> node_of_;  // node id per live PE (avoids hot-path division)
 
   // Execution context of the currently running entry method.

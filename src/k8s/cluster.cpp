@@ -6,15 +6,9 @@ namespace ehpc::k8s {
 
 Cluster::Cluster(ClusterConfig config) {
   index_ = std::make_unique<ClusterIndex>(nodes_, pods_);
-  scheduler_ = std::make_unique<KubeScheduler>(sim_, nodes_, pods_,
-                                               config.scheduler, index_.get());
+  scheduler_ = std::make_unique<KubeScheduler>(sim_, nodes_, pods_, *index_,
+                                               config.scheduler);
   kubelet_ = std::make_unique<Kubelet>(sim_, pods_, config.kubelet);
-  // Batched watch delivery: the first queued event of a window schedules a
-  // flush on the current tick's FIFO lane, after the in-flight event chain.
-  nodes_.enable_batched_delivery(
-      [this] { sim_.schedule_now([this] { nodes_.flush(); }); });
-  pods_.enable_batched_delivery(
-      [this] { sim_.schedule_now([this] { pods_.flush(); }); });
 }
 
 void Cluster::add_nodes(const std::string& prefix, int count,

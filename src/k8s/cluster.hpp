@@ -22,15 +22,14 @@ struct ClusterConfig {
 /// kubectl verbs. Higher layers (the Charm++ operator) build on this facade.
 ///
 /// The cluster maintains one shared `ClusterIndex` over both stores (all
-/// capacity/usage queries are O(1) or O(log n)) and switches both stores to
-/// batched watch delivery: mutations queue their events and a flush is
-/// scheduled at the current virtual time, so a burst of same-tick mutations
-/// (a reconcile creating 100 pods, a sweep binding them) costs each watcher
-/// one coalesced delivery pass instead of one synchronous fan-out per
+/// capacity/usage queries are O(1) or O(log n)). Both stores deliver watch
+/// events on the cluster's simulation: mutations queue their events and
+/// each store flushes at the current virtual time, so a burst of same-tick
+/// mutations (a reconcile creating 100 pods, a sweep binding them) costs
+/// each watcher one coalesced delivery pass instead of one fan-out per
 /// mutation. Store reads and the index stay exact mid-window; only watcher
-/// reaction is deferred to the tick's flush point — and every downstream
-/// action is scheduled relative to the same virtual time, so behavior is
-/// unchanged.
+/// reaction is deferred to the tick's flush point, and every downstream
+/// action is scheduled relative to the same virtual time.
 class Cluster {
  public:
   explicit Cluster(ClusterConfig config = {});
@@ -64,8 +63,8 @@ class Cluster {
 
  private:
   sim::Simulation sim_;
-  ObjectStore<Node> nodes_;
-  ObjectStore<Pod> pods_;
+  ObjectStore<Node> nodes_{sim_};
+  ObjectStore<Pod> pods_{sim_};
   std::unique_ptr<ClusterIndex> index_;
   std::unique_ptr<KubeScheduler> scheduler_;
   std::unique_ptr<Kubelet> kubelet_;

@@ -7,14 +7,9 @@
 namespace ehpc::k8s {
 
 KubeScheduler::KubeScheduler(sim::Simulation& sim, ObjectStore<Node>& nodes,
-                             ObjectStore<Pod>& pods, SchedulerConfig config,
-                             const ClusterIndex* index)
-    : sim_(sim), nodes_(nodes), pods_(pods), config_(config) {
-  if (index == nullptr) {
-    owned_index_ = std::make_unique<ClusterIndex>(nodes_, pods_);
-    index = owned_index_.get();
-  }
-  index_ = index;
+                             ObjectStore<Pod>& pods, const ClusterIndex& index,
+                             SchedulerConfig config)
+    : sim_(sim), pods_(pods), index_(index), config_(config) {
   // Watch for new pending pods and for capacity freed by departing pods.
   pods_.watch([this](WatchEvent event, const Pod& pod) {
     if (event == WatchEvent::kAdded && pod.phase == PodPhase::kPending) {
@@ -26,17 +21,13 @@ KubeScheduler::KubeScheduler(sim::Simulation& sim, ObjectStore<Node>& nodes,
       request_retry();
     }
   });
-  nodes_.watch([this](WatchEvent, const Node&) { request_retry(); });
-}
-
-Resources KubeScheduler::used_on(const std::string& node_name) const {
-  return index_->used_on(node_name);
+  nodes.watch([this](WatchEvent, const Node&) { request_retry(); });
 }
 
 std::string KubeScheduler::pick_node(const Pod& pod) const {
-  return index_->best_node(pod,
-                           config_.strategy == PlacementStrategy::kBinPack,
-                           config_.affinity_weight);
+  return index_.best_node(pod,
+                          config_.strategy == PlacementStrategy::kBinPack,
+                          config_.affinity_weight);
 }
 
 void KubeScheduler::try_schedule(const std::string& pod_name) {
@@ -70,7 +61,7 @@ void KubeScheduler::request_retry() {
 void KubeScheduler::retry_pending() {
   ++stats_.retry_sweeps;
   // Copy the names: a successful bind mutates the pending index mid-sweep.
-  const auto& pending = index_->pods_in_phase(PodPhase::kPending);
+  const auto& pending = index_.pods_in_phase(PodPhase::kPending);
   const std::vector<std::string> names(pending.begin(), pending.end());
   for (const std::string& name : names) try_schedule(name);
 }

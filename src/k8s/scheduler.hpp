@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "k8s/api.hpp"
@@ -32,8 +31,9 @@ struct SchedulerConfig {
 /// scheduling latency. Pods that fit nowhere stay Pending and are retried on
 /// every subsequent pod/node change.
 ///
-/// All placement queries are answered from a `ClusterIndex` (incrementally
-/// maintained, O(log n) per mutation) instead of rescanning the stores, so a
+/// All placement queries are answered from the cluster's shared
+/// `ClusterIndex` (incrementally maintained, O(log n) per mutation; it must
+/// outlive the scheduler) instead of rescanning the stores, so a
 /// scheduling tick costs O(pending × feasible-node walk) rather than
 /// O(pods × nodes × pods). Retry passes triggered by several events landing
 /// on the same virtual-time tick are deduplicated: the pass is idempotent at
@@ -47,23 +47,16 @@ class KubeScheduler {
     std::int64_t retry_sweeps = 0;   ///< deduplicated pending-queue sweeps
   };
 
-  /// `index` may be null, in which case the scheduler maintains a private
-  /// ClusterIndex over the two stores (standalone use in tests). `Cluster`
-  /// passes its shared index so the whole control plane maintains one.
+  /// `index` must be maintained over `nodes` and `pods`.
   KubeScheduler(sim::Simulation& sim, ObjectStore<Node>& nodes,
-                ObjectStore<Pod>& pods, SchedulerConfig config,
-                const ClusterIndex* index = nullptr);
-
-  /// Resources currently claimed on a node by bound, non-finished pods
-  /// (Terminating pods still hold their request until removed).
-  Resources used_on(const std::string& node_name) const;
+                ObjectStore<Pod>& pods, const ClusterIndex& index,
+                SchedulerConfig config);
 
   /// Feasible-and-best node for `pod`, or empty if none fits right now.
   std::string pick_node(const Pod& pod) const;
 
   int scheduled_count() const { return scheduled_count_; }
   const Stats& stats() const { return stats_; }
-  const ClusterIndex& index() const { return *index_; }
 
  private:
   void try_schedule(const std::string& pod_name);
@@ -71,11 +64,9 @@ class KubeScheduler {
   void request_retry();
 
   sim::Simulation& sim_;
-  ObjectStore<Node>& nodes_;
   ObjectStore<Pod>& pods_;
+  const ClusterIndex& index_;
   SchedulerConfig config_;
-  std::unique_ptr<ClusterIndex> owned_index_;  ///< standalone mode only
-  const ClusterIndex* index_;
   /// Virtual time of the most recently scheduled retry sweep; sweeps are
   /// deduplicated per target tick (events arrive in nondecreasing time).
   double retry_scheduled_for_ = -1.0;

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "sim/simulation.hpp"
 
 namespace ehpc::k8s {
 
@@ -30,18 +31,16 @@ enum class WatchEvent { kAdded, kModified, kDeleted };
 ///   - `kDeleted`:  before == final image, after == nullptr
 /// Invariant: when any mutating call (`add`/`update`/`mutate`/`remove`)
 /// returns, every attached view has already observed the change — a view's
-/// derived state is never stale with respect to `get`/`list`, regardless of
-/// delivery mode. Views must not mutate the store re-entrantly.
+/// derived state is never stale with respect to `get`/`list`, even while
+/// watcher delivery is still queued. Views must not mutate the store
+/// re-entrantly.
 ///
-/// **Watchers** (watch) model the asynchronous watch channel. In the default
-/// *immediate* mode they fire synchronously per mutation, in registration
-/// order — the historical behavior. After `enable_batched_delivery`, events
-/// are instead queued and delivered at an explicit `flush()` (scheduled by
-/// the owner at a deterministic point in virtual time), with per-object
-/// coalescing so a watcher's reaction cost scales with *distinct changed
-/// objects* rather than raw mutation count.
-///
-/// Batched-delivery guarantees:
+/// **Watchers** (watch) model the asynchronous watch channel. Mutations
+/// queue their events; the first event of a window schedules a flush with
+/// `sim.schedule_now`, so the window drains at the current virtual time,
+/// after the in-flight event chain. Per-object coalescing makes a watcher's
+/// reaction cost scale with *distinct changed objects* rather than raw
+/// mutation count. Guarantees:
 ///   - Delivery is event-major: queued events are replayed in enqueue order,
 ///     and each event is handed to all eligible watchers in registration
 ///     order before the next event — the same interleaving a synchronous
@@ -61,7 +60,11 @@ enum class WatchEvent { kAdded, kModified, kDeleted };
 ///     its pre-registration queue position and is not replayed to it.
 ///   - Events enqueued *during* a flush (a watcher mutating the store) are
 ///     appended and drained by the same flush, after the already-queued
-///     events; they are not coalesced into earlier positions.
+///     events; they are not coalesced into earlier positions and schedule
+///     no second flush.
+///
+/// The store schedules flushes that capture `this`, so it is neither
+/// copyable nor movable, and `sim` must outlive it.
 ///
 /// T must expose an ObjectMeta member named `meta`.
 template <typename T>
@@ -69,7 +72,11 @@ class ObjectStore {
  public:
   using Watcher = std::function<void(WatchEvent, const T&)>;
   using View = std::function<void(WatchEvent, const T* before, const T* after)>;
-  using FlushRequester = std::function<void()>;
+
+  explicit ObjectStore(sim::Simulation& sim) : sim_(sim) {}
+
+  ObjectStore(const ObjectStore&) = delete;
+  ObjectStore& operator=(const ObjectStore&) = delete;
 
   /// Insert a new object; its name must be unused. Returns the stored copy.
   const T& add(T object) {
@@ -145,23 +152,12 @@ class ObjectStore {
     return out;
   }
 
-  /// Objects satisfying a predicate.
-  template <typename Pred>
-  std::vector<const T*> list_where(Pred&& pred) const {
-    std::vector<const T*> out;
-    for (const auto& [name, obj] : objects_) {
-      if (pred(obj)) out.push_back(&obj);
-    }
-    return out;
-  }
-
   std::size_t size() const { return objects_.size(); }
 
-  /// Register a watcher. Immediate mode: fires synchronously for every
-  /// subsequent mutation. Batched mode: receives events enqueued from now
-  /// on, at the next flush.
+  /// Register a watcher; it receives the events enqueued from now on, at
+  /// the next flush.
   void watch(Watcher watcher) {
-    watchers_.push_back({std::move(watcher), batched_ ? log_.size() : 0});
+    watchers_.push_back({std::move(watcher), log_.size()});
   }
 
   /// Attach an incrementally-maintained view; immediately and synchronously
@@ -170,36 +166,32 @@ class ObjectStore {
   /// a view that must bootstrap walks `list()` itself before attaching.
   void attach_view(View view) { views_.push_back(std::move(view)); }
 
-  /// Register a batch observer: called once after each delivered batch — in
-  /// immediate mode after every mutation's watcher fan-out, in batched mode
-  /// once per flush. Use for per-window sampling (e.g. one utilization
-  /// sample per flush instead of one per mutation).
+  /// Register a batch observer, called once after each flush. Use for
+  /// per-window sampling (e.g. one utilization sample per flush instead of
+  /// one per mutation).
   void observe_batches(std::function<void()> fn) {
     batch_observers_.push_back(std::move(fn));
   }
 
-  /// Switch watcher delivery to batched mode. `request_flush` is invoked at
-  /// most once per window (on the first queued event since the last flush)
-  /// and must arrange for `flush()` to be called at the desired point —
-  /// typically `sim.schedule_now([&store]{ store.flush(); })`, which drains
-  /// the window at the current virtual time after the in-flight event chain.
-  void enable_batched_delivery(FlushRequester request_flush) {
-    EHPC_EXPECTS(request_flush != nullptr);
-    batched_ = true;
-    request_flush_ = std::move(request_flush);
-  }
-
-  bool batched_delivery() const { return batched_; }
-
-  /// Queued-but-undelivered events (0 in immediate mode).
+  /// Queued-but-undelivered events.
   std::size_t pending_events() const { return log_.size(); }
 
+  std::uint64_t latest_version() const { return version_counter_; }
+
+ private:
+  struct WatcherEntry {
+    Watcher fn;
+    std::size_t registered_at;  ///< first queue index this watcher receives
+  };
+  struct LogEntry {
+    WatchEvent event;
+    T snapshot;
+  };
+
   /// Deliver all queued events (see class comment for ordering guarantees).
-  /// No-op when the queue is empty. Immediate-mode stores never queue, so
-  /// calling flush() is always safe.
+  /// Scheduled by `dispatch` on the first event of a window.
   void flush() {
     flush_requested_ = false;
-    if (log_.empty()) return;
     flushing_ = true;
     // Index loops: watchers may register more watchers or enqueue more
     // events mid-flush; both vectors can grow (and reallocate) under us.
@@ -219,18 +211,6 @@ class ObjectStore {
     }
   }
 
-  std::uint64_t latest_version() const { return version_counter_; }
-
- private:
-  struct WatcherEntry {
-    Watcher fn;
-    std::size_t registered_at;  ///< first queue index this watcher receives
-  };
-  struct LogEntry {
-    WatchEvent event;
-    T snapshot;
-  };
-
   void notify_views(WatchEvent event, const T* before, const T* after) {
     for (std::size_t i = 0; i < views_.size(); ++i) {
       views_[i](event, before, after);
@@ -238,15 +218,6 @@ class ObjectStore {
   }
 
   void dispatch(WatchEvent event, const T& object) {
-    if (!batched_) {
-      for (std::size_t w = 0; w < watchers_.size(); ++w) {
-        watchers_[w].fn(event, object);
-      }
-      for (std::size_t i = 0; i < batch_observers_.size(); ++i) {
-        batch_observers_[i]();
-      }
-      return;
-    }
     const std::string& name = object.meta.name;
     if (event == WatchEvent::kModified && !flushing_) {
       if (auto it = coalesce_.find(name); it != coalesce_.end()) {
@@ -263,18 +234,17 @@ class ObjectStore {
     log_.push_back({event, object});
     if (!flush_requested_ && !flushing_) {
       flush_requested_ = true;
-      request_flush_();
+      sim_.schedule_now([this] { flush(); });
     }
   }
 
+  sim::Simulation& sim_;
   std::map<std::string, T> objects_;
   std::vector<WatcherEntry> watchers_;
   std::vector<View> views_;
   std::vector<std::function<void()>> batch_observers_;
   std::vector<LogEntry> log_;
   std::map<std::string, std::size_t> coalesce_;  ///< open Modified runs
-  FlushRequester request_flush_;
-  bool batched_ = false;
   bool flush_requested_ = false;
   bool flushing_ = false;
   std::uint64_t version_counter_ = 0;

@@ -80,8 +80,7 @@ void ClusterIndex::on_node_event(WatchEvent event, const Node* before,
   } else {
     // Deleted: drop the entry once no bound pod still references it.
     auto it = nodes_.find(before->meta.name);
-    if (it != nodes_.end() && it->second.used == Resources{} &&
-        it->second.label_counts.empty()) {
+    if (it != nodes_.end() && it->second.bound_pods == 0) {
       nodes_.erase(it);
     }
   }
@@ -97,12 +96,12 @@ void ClusterIndex::add_pod_contribution(const Pod& pod) {
   if (pod.node_name.empty()) return;
   NodeEntry& entry = entry_for(pod.node_name);
   bucket_erase(pod.node_name, entry);
+  ++entry.bound_pods;
   if (claims_resources(pod)) {
     entry.used = entry.used + pod.request;
     bound_cpus_ += pod.request.cpus;
   }
   for (const auto& [key, value] : pod.meta.labels) {
-    ++entry.label_counts[{key, value}];
     ++label_nodes_[{key, value}][pod.node_name];
   }
   bucket_insert(pod.node_name, entry);
@@ -119,13 +118,12 @@ void ClusterIndex::remove_pod_contribution(const Pod& pod) {
   if (pod.node_name.empty()) return;
   NodeEntry& entry = entry_for(pod.node_name);
   bucket_erase(pod.node_name, entry);
+  --entry.bound_pods;
   if (claims_resources(pod)) {
     entry.used = entry.used - pod.request;
     bound_cpus_ -= pod.request.cpus;
   }
   for (const auto& [key, value] : pod.meta.labels) {
-    auto lc = entry.label_counts.find({key, value});
-    if (--lc->second == 0) entry.label_counts.erase(lc);
     auto ln = label_nodes_.find({key, value});
     auto node_it = ln->second.find(pod.node_name);
     if (--node_it->second == 0) ln->second.erase(node_it);
@@ -148,10 +146,10 @@ Resources ClusterIndex::used_on(const std::string& node) const {
 
 int ClusterIndex::colocated(const std::string& node, const std::string& key,
                             const std::string& value) const {
-  auto it = nodes_.find(node);
-  if (it == nodes_.end()) return 0;
-  auto lc = it->second.label_counts.find({key, value});
-  return lc == it->second.label_counts.end() ? 0 : lc->second;
+  auto it = label_nodes_.find({key, value});
+  if (it == label_nodes_.end()) return 0;
+  auto count = it->second.find(node);
+  return count == it->second.end() ? 0 : count->second;
 }
 
 const std::set<std::string>& ClusterIndex::pods_in_phase(PodPhase phase) const {

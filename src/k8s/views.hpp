@@ -32,7 +32,7 @@ namespace ehpc::k8s {
 /// Consistency: the index attaches `ObjectStore` views, which run
 /// synchronously inside every mutation — so all queries here are exact with
 /// respect to the stores at all times, including mid-window while watch
-/// delivery is batched. Construction bootstraps from the stores' current
+/// delivery is still queued. Construction bootstraps from the stores' current
 /// contents, so the index may be attached to non-empty stores.
 ///
 /// Semantics match the historical scan-based queries bit for bit:
@@ -94,8 +94,7 @@ class ClusterIndex {
     Resources used;
     bool ready = false;
     bool exists = false;  ///< false: placeholder created by an orphan binding
-    /// Bound pods on this node by label pair (any phase) — the affinity term.
-    std::map<std::pair<std::string, std::string>, int> label_counts;
+    int bound_pods = 0;   ///< pods (any phase) whose node_name is this node
   };
 
   void on_node_event(WatchEvent event, const Node* before, const Node* after);
@@ -110,13 +109,13 @@ class ClusterIndex {
   std::map<std::string, NodeEntry> nodes_;
   /// Ready nodes by CPU allocation ratio (name-ordered within a bucket).
   std::map<double, std::set<std::string>> by_ratio_;
-  /// Pod names by phase (indexed by static_cast<size_t>(PodPhase)).
+  /// Pod names by phase.
   std::map<PodPhase, std::set<std::string>> by_phase_;
-  /// All pods by label pair; bound pods per node live in NodeEntry.
+  /// All pods by label pair, bound or not.
   std::map<std::pair<std::string, std::string>, std::set<std::string>>
       by_label_;
-  /// Nodes hosting bound pods with a given label pair -> count (the
-  /// scheduler's affinity candidate set).
+  /// Nodes hosting bound pods (any phase) with a given label pair -> count:
+  /// the scheduler's affinity candidate set and the `colocated` term.
   std::map<std::pair<std::string, std::string>, std::map<std::string, int>>
       label_nodes_;
   int total_cpus_ = 0;

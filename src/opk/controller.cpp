@@ -1,6 +1,7 @@
 #include "opk/controller.hpp"
 
 #include <algorithm>
+#include <cstdlib>
 #include <vector>
 
 #include "common/error.hpp"
@@ -44,10 +45,9 @@ CharmJobController::CharmJobController(k8s::Cluster& cluster,
       if (role != pod.meta.labels.end() && role->second == "worker" &&
           jobs_.contains(job_name)) {
         const CharmJob& job = jobs_.get(job_name);
-        const auto dash = pod.meta.name.rfind('-');
-        const int rank = std::atoi(pod.meta.name.substr(dash + 1).c_str());
         if (job.phase != CharmJobPhase::kCompleted &&
-            job.desired_replicas > 0 && rank < job.desired_replicas) {
+            job.desired_replicas > 0 &&
+            pod_rank(pod.meta.name) < job.desired_replicas) {
           request_reconcile(job_name);
         }
       }
@@ -63,6 +63,11 @@ CharmJobController::CharmJobController(k8s::Cluster& cluster,
 std::string CharmJobController::pod_name(const std::string& job_name,
                                          int rank) const {
   return job_name + "-worker-" + std::to_string(rank);
+}
+
+int CharmJobController::pod_rank(const std::string& pod_name) {
+  const auto dash = pod_name.rfind('-');
+  return std::atoi(pod_name.substr(dash + 1).c_str());
 }
 
 void CharmJobController::request_reconcile(const std::string& job_name) {
@@ -123,10 +128,7 @@ void CharmJobController::reconcile(const std::string& job_name) {
       if (pod == nullptr) continue;
       auto rt = pod->meta.labels.find("role");
       if (rt == pod->meta.labels.end() || rt->second != "worker") continue;
-      // Rank = suffix after last '-'.
-      const auto dash = name.rfind('-');
-      const int rank = std::atoi(name.substr(dash + 1).c_str());
-      if (rank >= job.desired_replicas) cluster_.delete_pod(name);
+      if (pod_rank(name) >= job.desired_replicas) cluster_.delete_pod(name);
     }
   }
   update_readiness(job_name);

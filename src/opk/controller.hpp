@@ -44,6 +44,8 @@ class CharmJobController {
   void reconcile(const std::string& job_name);
   void update_readiness(const std::string& job_name);
   std::string pod_name(const std::string& job_name, int rank) const;
+  /// Rank of a worker pod: the number after the last '-' of its name.
+  static int pod_rank(const std::string& pod_name);
 
   k8s::Cluster& cluster_;
   k8s::ObjectStore<CharmJob>& jobs_;

@@ -241,21 +241,14 @@ ClusterExperiment::ClusterExperiment(
       cluster_(config.cluster) {
   cluster_.add_nodes("node", config_.nodes,
                      k8s::Resources{config_.cpus_per_node, 32768});
-  // CharmJobs ride the same batched watch channel as the cluster stores:
-  // several same-tick mutations of one job (readiness + rescale) coalesce
-  // into a single delivered event, so the controller reconciles once.
-  jobs_.enable_batched_delivery([this] {
-    cluster_.sim().schedule_now([this] { jobs_.flush(); });
-  });
   controller_ = std::make_unique<CharmJobController>(cluster_, jobs_,
                                                      config_.controller);
   harness_ = std::make_unique<Harness>(*this);
   harness_->set_fault_plan(config_.faults);
 
-  // Physical utilization trace: one sample per delivered pod-event batch
-  // (per mutation before batching was enabled, per flush after). Samples
-  // within a tick are zero-width in the time-weighted integral, so one
-  // end-of-batch sample is metric-identical to one per mutation.
+  // Physical utilization trace: one sample per delivered pod-event batch.
+  // Samples within a tick are zero-width in the time-weighted integral, so
+  // one end-of-batch sample is metric-identical to one per mutation.
   cluster_.pods().observe_batches([this] {
     harness_->record_physical_usage();
   });

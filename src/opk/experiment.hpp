@@ -62,7 +62,10 @@ class ClusterExperiment {
   ExperimentConfig config_;
   std::map<elastic::JobClass, elastic::Workload> workloads_;
   k8s::Cluster cluster_;
-  k8s::ObjectStore<CharmJob> jobs_;
+  /// Delivers on the cluster's simulation like the pod store: same-tick
+  /// mutations of one job (readiness + rescale) coalesce into one event, so
+  /// the controller reconciles once.
+  k8s::ObjectStore<CharmJob> jobs_{cluster_.sim()};
   std::unique_ptr<CharmJobController> controller_;
   std::unique_ptr<Harness> harness_;
 };

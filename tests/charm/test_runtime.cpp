@@ -201,95 +201,19 @@ TEST(Runtime, ChargeFlopsOutsideHandlerThrows) {
   EXPECT_THROW(rt.charge_flops(1.0), PreconditionError);
 }
 
-// ---- pre-registered entry methods (the pooled fast path) ----
-
-TEST(Runtime, RegisteredEntryDeliversLikeAdHocHandler) {
-  // Same workload through both dispatch paths must produce identical state
-  // and identical virtual time.
-  const auto drive = [](bool registered) {
-    Runtime rt(small_config(2));
-    ArrayId a = rt.create_array("c", 4, counter_factory());
-    const auto bump = [](Chare& c, Runtime& r) {
-      static_cast<Counter&>(c).value += 1;
-      r.charge_flops(1.0e6);
-    };
-    const EntryId entry = rt.register_entry(bump);
-    for (int round = 0; round < 3; ++round) {
-      for (ElementId e = 0; e < 4; ++e) {
-        if (registered) {
-          rt.send(a, e, 128, entry);
-        } else {
-          rt.send(a, e, 128, bump);
-        }
-      }
-    }
-    rt.run();
-    std::vector<int> values;
-    for (ElementId e = 0; e < 4; ++e) {
-      values.push_back(static_cast<Counter&>(rt.element(a, e)).value);
-    }
-    return std::pair{values, rt.now()};
-  };
-  const auto [ad_hoc_values, ad_hoc_now] = drive(false);
-  const auto [entry_values, entry_now] = drive(true);
-  EXPECT_EQ(ad_hoc_values, (std::vector<int>{3, 3, 3, 3}));
-  EXPECT_EQ(entry_values, ad_hoc_values);
-  EXPECT_DOUBLE_EQ(entry_now, ad_hoc_now);
-}
-
-TEST(Runtime, RegisteredEntryBroadcastReachesEveryElement) {
-  Runtime rt(small_config(2));
-  ArrayId a = rt.create_array("c", 6, counter_factory());
-  const EntryId entry = rt.register_entry([](Chare& c, Runtime&) {
-    static_cast<Counter&>(c).value = 7;
-  });
-  rt.broadcast(a, 64, entry);
-  rt.run();
-  for (ElementId e = 0; e < 6; ++e) {
-    EXPECT_EQ(static_cast<Counter&>(rt.element(a, e)).value, 7);
-  }
-}
-
-TEST(Runtime, EntrySendFromInsideHandlerChains) {
-  Runtime rt(small_config(2));
-  ArrayId a = rt.create_array("c", 2, counter_factory());
-  // Entry methods registered during execution must be addressable from
-  // handlers (entries_ stays stable while growing).
-  const EntryId sink = rt.register_entry([](Chare& c, Runtime&) {
-    static_cast<Counter&>(c).value += 10;
-  });
-  const EntryId relay = rt.register_entry([sink, a](Chare&, Runtime& r) {
-    r.send(a, 1, 32, sink);
-  });
-  rt.send(a, 0, 32, relay);
-  rt.run();
-  EXPECT_EQ(static_cast<Counter&>(rt.element(a, 0)).value, 0);
-  EXPECT_EQ(static_cast<Counter&>(rt.element(a, 1)).value, 10);
-}
-
-TEST(Runtime, SendRejectsUnknownEntryId) {
-  Runtime rt(small_config(1));
-  ArrayId a = rt.create_array("c", 1, counter_factory());
-  EXPECT_THROW(rt.send(a, 0, 8, EntryId{0}), PreconditionError);
-  EXPECT_THROW(rt.send(a, 0, 8, kInvalidEntry), PreconditionError);
-  rt.register_entry([](Chare&, Runtime&) {});
-  rt.send(a, 0, 8, EntryId{0});  // now registered
-  rt.run();
-}
-
 // Messaging stress through the envelope pool: fan-out chains with nested
 // sends must deliver exactly once each and stay deterministic.
 TEST(Runtime, EnvelopePoolRecyclingPreservesDelivery) {
   Runtime rt(small_config(4));
   ArrayId a = rt.create_array("c", 8, counter_factory());
   int delivered = 0;
-  const EntryId leaf = rt.register_entry([&delivered](Chare& c, Runtime&) {
+  const Runtime::Handler leaf = [&delivered](Chare& c, Runtime&) {
     static_cast<Counter&>(c).value += 1;
     ++delivered;
-  });
-  const EntryId fan = rt.register_entry([&, a](Chare&, Runtime& r) {
+  };
+  const Runtime::Handler fan = [&, a](Chare&, Runtime& r) {
     for (ElementId e = 0; e < 8; ++e) r.send(a, e, 16, leaf);
-  });
+  };
   for (int wave = 0; wave < 50; ++wave) {
     rt.send(a, wave % 8, 16, fan);
   }

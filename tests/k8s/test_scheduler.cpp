@@ -82,8 +82,8 @@ TEST(KubeScheduler, UsedOnCountsBoundPods) {
   c.add_nodes("node", 1, {16, 32768});
   c.create_pod(worker("p0", 4));
   c.sim().run();
-  EXPECT_EQ(c.scheduler().used_on("node-0").cpus, 4);
-  EXPECT_EQ(c.scheduler().used_on("node-1").cpus, 0);
+  EXPECT_EQ(c.index().used_on("node-0").cpus, 4);
+  EXPECT_EQ(c.index().used_on("node-1").cpus, 0);
 }
 
 TEST(KubeScheduler, PickNodeEmptyWhenNothingFits) {

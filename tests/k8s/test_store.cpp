@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "k8s/api.hpp"
+#include "sim/simulation.hpp"
 
 namespace ehpc::k8s {
 namespace {
@@ -14,7 +15,8 @@ Pod make_pod(const std::string& name) {
 }
 
 TEST(ObjectStore, AddAssignsIncreasingVersions) {
-  ObjectStore<Pod> store;
+  sim::Simulation sim;
+  ObjectStore<Pod> store{sim};
   const Pod& a = store.add(make_pod("a"));
   const Pod& b = store.add(make_pod("b"));
   EXPECT_LT(a.meta.resource_version, b.meta.resource_version);
@@ -22,14 +24,16 @@ TEST(ObjectStore, AddAssignsIncreasingVersions) {
 }
 
 TEST(ObjectStore, AddRejectsDuplicatesAndEmptyNames) {
-  ObjectStore<Pod> store;
+  sim::Simulation sim;
+  ObjectStore<Pod> store{sim};
   store.add(make_pod("a"));
   EXPECT_THROW(store.add(make_pod("a")), PreconditionError);
   EXPECT_THROW(store.add(make_pod("")), PreconditionError);
 }
 
 TEST(ObjectStore, MutateBumpsVersionAndNotifies) {
-  ObjectStore<Pod> store;
+  sim::Simulation sim;
+  ObjectStore<Pod> store{sim};
   store.add(make_pod("a"));
   const auto v1 = store.get("a").meta.resource_version;
   int events = 0;
@@ -39,33 +43,39 @@ TEST(ObjectStore, MutateBumpsVersionAndNotifies) {
   store.mutate("a", [](Pod& p) { p.phase = PodPhase::kRunning; });
   EXPECT_GT(store.get("a").meta.resource_version, v1);
   EXPECT_EQ(store.get("a").phase, PodPhase::kRunning);
+  sim.run();
   EXPECT_EQ(events, 1);
 }
 
 TEST(ObjectStore, RemoveNotifiesWithFinalState) {
-  ObjectStore<Pod> store;
+  sim::Simulation sim;
+  ObjectStore<Pod> store{sim};
   store.add(make_pod("a"));
   std::string deleted;
   store.watch([&](WatchEvent e, const Pod& p) {
     if (e == WatchEvent::kDeleted) deleted = p.meta.name;
   });
   EXPECT_TRUE(store.remove("a"));
+  sim.run();
   EXPECT_EQ(deleted, "a");
   EXPECT_FALSE(store.remove("a"));
   EXPECT_FALSE(store.contains("a"));
 }
 
 TEST(ObjectStore, WatchersFireInRegistrationOrder) {
-  ObjectStore<Pod> store;
+  sim::Simulation sim;
+  ObjectStore<Pod> store{sim};
   std::vector<int> order;
   store.watch([&](WatchEvent, const Pod&) { order.push_back(1); });
   store.watch([&](WatchEvent, const Pod&) { order.push_back(2); });
   store.add(make_pod("a"));
+  sim.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
 TEST(ObjectStore, ListIsNameOrdered) {
-  ObjectStore<Pod> store;
+  sim::Simulation sim;
+  ObjectStore<Pod> store{sim};
   store.add(make_pod("b"));
   store.add(make_pod("a"));
   auto all = store.list();
@@ -74,20 +84,9 @@ TEST(ObjectStore, ListIsNameOrdered) {
   EXPECT_EQ(all[1]->meta.name, "b");
 }
 
-TEST(ObjectStore, ListWhereFilters) {
-  ObjectStore<Pod> store;
-  store.add(make_pod("a"));
-  Pod b = make_pod("b");
-  b.phase = PodPhase::kRunning;
-  store.add(std::move(b));
-  auto running = store.list_where(
-      [](const Pod& p) { return p.phase == PodPhase::kRunning; });
-  ASSERT_EQ(running.size(), 1u);
-  EXPECT_EQ(running[0]->meta.name, "b");
-}
-
 TEST(ObjectStore, GetThrowsFindReturnsNull) {
-  ObjectStore<Pod> store;
+  sim::Simulation sim;
+  ObjectStore<Pod> store{sim};
   EXPECT_THROW(store.get("missing"), PreconditionError);
   EXPECT_EQ(store.find("missing"), nullptr);
 }

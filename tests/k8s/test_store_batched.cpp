@@ -1,15 +1,18 @@
 // Batched watch delivery: the coalescing window, its edge cases, and the
 // view-vs-watcher consistency contract (views are synchronous and exact
-// mid-window; watchers see the coalesced replay at flush()).
+// mid-window; watchers see the coalesced replay at the flush the store
+// schedules on its simulation).
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "k8s/api.hpp"
 #include "k8s/store.hpp"
+#include "sim/simulation.hpp"
 
 namespace ehpc::k8s {
 namespace {
@@ -21,18 +24,24 @@ Pod make_pod(const std::string& name, PodPhase phase = PodPhase::kPending) {
   return p;
 }
 
-/// A store in batched mode with a manual flush trigger, plus a recording
-/// watcher capturing (event, name, phase) tuples in delivery order.
+/// A store on its own simulation, plus a recording watcher capturing
+/// (event, name, phase) tuples in delivery order. `sim.run()` delivers the
+/// open window.
 struct Fixture {
-  ObjectStore<Pod> store;
-  int flush_requests = 0;
+  sim::Simulation sim;
+  ObjectStore<Pod> store{sim};
   std::vector<std::tuple<WatchEvent, std::string, PodPhase>> seen;
 
   Fixture() {
-    store.enable_batched_delivery([this] { ++flush_requests; });
     store.watch([this](WatchEvent e, const Pod& p) {
       seen.emplace_back(e, p.meta.name, p.phase);
     });
+  }
+
+  /// Flushes the store has scheduled so far, run or still queued: the
+  /// store is the simulation's only client.
+  std::uint64_t flush_requests() const {
+    return sim.executed() + sim.pending();
   }
 };
 
@@ -41,24 +50,24 @@ TEST(BatchedStore, DeliveryDeferredUntilFlushAndRequestedOncePerWindow) {
   f.store.add(make_pod("a"));
   f.store.add(make_pod("b"));
   f.store.mutate("a", [](Pod& p) { p.phase = PodPhase::kRunning; });
-  EXPECT_EQ(f.flush_requests, 1);  // only the window's first event asks
+  EXPECT_EQ(f.flush_requests(), 1u);  // only the window's first event asks
   EXPECT_TRUE(f.seen.empty());
   EXPECT_EQ(f.store.pending_events(), 3u);
 
-  f.store.flush();
+  f.sim.run();
   ASSERT_EQ(f.seen.size(), 3u);
   EXPECT_EQ(f.store.pending_events(), 0u);
 
   // Next window requests a flush again.
   f.store.mutate("b", [](Pod& p) { p.phase = PodPhase::kRunning; });
-  EXPECT_EQ(f.flush_requests, 2);
+  EXPECT_EQ(f.flush_requests(), 2u);
 }
 
 TEST(BatchedStore, ModifiedRunCoalescesToFinalStateAtFirstPosition) {
   Fixture f;
   f.store.add(make_pod("a"));
   f.store.add(make_pod("b"));
-  f.store.flush();
+  f.sim.run();
   f.seen.clear();
 
   // Run on "a" (3 events), interleaved single event on "b", then one more on
@@ -69,7 +78,7 @@ TEST(BatchedStore, ModifiedRunCoalescesToFinalStateAtFirstPosition) {
   f.store.mutate("a", [](Pod& p) { p.phase = PodPhase::kSucceeded; });
   EXPECT_EQ(f.store.pending_events(), 2u);
 
-  f.store.flush();
+  f.sim.run();
   ASSERT_EQ(f.seen.size(), 2u);
   EXPECT_EQ(f.seen[0], std::make_tuple(WatchEvent::kModified, std::string("a"),
                                        PodPhase::kSucceeded));
@@ -84,7 +93,7 @@ TEST(BatchedStore, AddAndDeleteInOneWindowBothDelivered) {
   f.store.remove("a");
   EXPECT_FALSE(f.store.contains("a"));
 
-  f.store.flush();
+  f.sim.run();
   ASSERT_EQ(f.seen.size(), 3u);
   EXPECT_EQ(std::get<0>(f.seen[0]), WatchEvent::kAdded);
   EXPECT_EQ(std::get<0>(f.seen[1]), WatchEvent::kModified);
@@ -96,7 +105,7 @@ TEST(BatchedStore, AddAndDeleteInOneWindowBothDelivered) {
 TEST(BatchedStore, LifecycleEdgesEndModifiedRuns) {
   Fixture f;
   f.store.add(make_pod("a"));
-  f.store.flush();
+  f.sim.run();
   f.seen.clear();
 
   // Modified / Deleted / Added / Modified: nothing coalesces across the
@@ -106,7 +115,7 @@ TEST(BatchedStore, LifecycleEdgesEndModifiedRuns) {
   f.store.add(make_pod("a"));
   f.store.mutate("a", [](Pod& p) { p.phase = PodPhase::kScheduled; });
 
-  f.store.flush();
+  f.sim.run();
   ASSERT_EQ(f.seen.size(), 4u);
   EXPECT_EQ(std::get<0>(f.seen[0]), WatchEvent::kModified);
   EXPECT_EQ(std::get<0>(f.seen[1]), WatchEvent::kDeleted);
@@ -129,7 +138,7 @@ TEST(BatchedStore, MidWindowWatcherSeesOnlyLaterEvents) {
   f.store.mutate("early", [](Pod& p) { p.phase = PodPhase::kSucceeded; });
   f.store.add(make_pod("late"));
 
-  f.store.flush();
+  f.sim.run();
   EXPECT_EQ(late_seen, std::vector<std::string>{"late"});
   // The original watcher saw everything (Added+coalesced Modified, Added).
   ASSERT_EQ(f.seen.size(), 3u);
@@ -139,7 +148,7 @@ TEST(BatchedStore, MidWindowWatcherSeesOnlyLaterEvents) {
   f.seen.clear();
   late_seen.clear();
   f.store.mutate("early", [](Pod& p) { p.phase = PodPhase::kFailed; });
-  f.store.flush();
+  f.sim.run();
   EXPECT_EQ(late_seen, std::vector<std::string>{"early"});
 }
 
@@ -154,12 +163,12 @@ TEST(BatchedStore, EventsEnqueuedMidFlushDrainInSameFlush) {
       f.store.mutate("b", [](Pod& q) { q.phase = PodPhase::kScheduled; });
     }
   });
-  f.store.flush();
+  f.sim.run();
   f.seen.clear();
 
   f.store.mutate("a", [](Pod& p) { p.phase = PodPhase::kRunning; });
-  ASSERT_EQ(f.flush_requests, 2);
-  f.store.flush();
+  ASSERT_EQ(f.flush_requests(), 2u);
+  f.sim.run();
 
   // One flush delivered the trigger plus both reactive events, appended in
   // order (no coalescing into already-delivered positions).
@@ -171,10 +180,10 @@ TEST(BatchedStore, EventsEnqueuedMidFlushDrainInSameFlush) {
   EXPECT_EQ(std::get<1>(f.seen[2]), "b");
   EXPECT_EQ(f.store.pending_events(), 0u);
   // The mid-flush enqueue must not have scheduled a second flush...
-  EXPECT_EQ(f.flush_requests, 2);
+  EXPECT_EQ(f.flush_requests(), 2u);
   // ...but the *next* window does request one.
   f.store.mutate("a", [](Pod& p) { p.phase = PodPhase::kSucceeded; });
-  EXPECT_EQ(f.flush_requests, 3);
+  EXPECT_EQ(f.flush_requests(), 3u);
 }
 
 TEST(BatchedStore, ViewsStayExactMidWindow) {
@@ -190,15 +199,17 @@ TEST(BatchedStore, ViewsStayExactMidWindow) {
   // The view already reflects all three mutations; no watcher has run yet.
   EXPECT_EQ(running_pods, 1);
   EXPECT_TRUE(f.seen.empty());
-  f.store.flush();
+  f.sim.run();
   EXPECT_EQ(running_pods, 1);
 }
 
 TEST(BatchedStore, FlushOnEmptyQueueIsNoOp) {
+  // A window without mutations schedules no flush and delivers no batch.
   Fixture f;
   int batches = 0;
   f.store.observe_batches([&] { ++batches; });
-  f.store.flush();
+  f.sim.run();
+  EXPECT_EQ(f.flush_requests(), 0u);
   EXPECT_EQ(batches, 0);
   EXPECT_TRUE(f.seen.empty());
 }
@@ -211,11 +222,33 @@ TEST(BatchedStore, BatchObserverFiresOncePerFlush) {
   f.store.add(make_pod("b"));
   f.store.mutate("a", [](Pod& p) { p.phase = PodPhase::kRunning; });
   EXPECT_EQ(batches, 0);
-  f.store.flush();
+  f.sim.run();
   EXPECT_EQ(batches, 1);
   f.store.mutate("b", [](Pod& p) { p.phase = PodPhase::kRunning; });
-  f.store.flush();
+  f.sim.run();
   EXPECT_EQ(batches, 2);
+}
+
+TEST(BatchedStore, FlushRunsAtTheMutationTimeAfterTheInFlightEvent) {
+  // The flush joins the current tick's FIFO lane: it runs at the mutation's
+  // virtual time, after the event that mutated, and before same-time events
+  // that event scheduled later.
+  Fixture f;
+  std::vector<std::string> order;
+  std::vector<double> delivered_at;
+  f.store.watch([&](WatchEvent, const Pod& p) {
+    order.push_back("watch " + p.meta.name);
+    delivered_at.push_back(f.sim.now());
+  });
+  f.sim.schedule_at(5.0, [&] {
+    f.store.add(make_pod("a"));
+    order.push_back("event");
+    f.sim.schedule_now([&] { order.push_back("later"); });
+  });
+  f.sim.run();
+  EXPECT_EQ(order,
+            (std::vector<std::string>{"event", "watch a", "later"}));
+  EXPECT_EQ(delivered_at, std::vector<double>{5.0});
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include "common/rng.hpp"
 #include "k8s/api.hpp"
 #include "k8s/store.hpp"
+#include "sim/simulation.hpp"
 
 namespace ehpc::k8s {
 namespace {
@@ -68,8 +69,9 @@ std::string reference_best_node(const ObjectStore<Node>& nodes,
 }
 
 struct Battery {
-  ObjectStore<Node> nodes;
-  ObjectStore<Pod> pods;
+  sim::Simulation sim;  // watch delivery only; the index is a view
+  ObjectStore<Node> nodes{sim};
+  ObjectStore<Pod> pods{sim};
 
   void check(const ClusterIndex& index) const {
     int total = 0, used = 0, bound = 0;

@@ -7,7 +7,7 @@ namespace {
 
 struct Fixture {
   k8s::Cluster cluster;
-  k8s::ObjectStore<CharmJob> jobs;
+  k8s::ObjectStore<CharmJob> jobs{cluster.sim()};
   CharmJobController controller{cluster, jobs, ControllerConfig{}};
 
   Fixture() { cluster.add_nodes("node", 4, {16, 32768}); }
