@@ -90,7 +90,8 @@ void run(bench::Reporter& rep, const Config& cfg) {
   for (const std::string lb : {"greedy", "refine", "null"}) {
     charm::RuntimeConfig rc;
     rc.load_balancer = lb;
-    const auto t = apps::measure_jacobi_rescale(8192, 32, 16, 3, rc);
+    const auto t = apps::measure_rescale<apps::Jacobi2D>(
+        apps::jacobi_for_grid(8192), 32, 16, 3, rc);
     t4.add_row({lb, format_double(t.load_balance_s, 4),
                 format_double(t.checkpoint_s, 4), format_double(t.restart_s, 4),
                 format_double(t.restore_s, 4), format_double(t.total(), 4),

@@ -4,6 +4,7 @@
 //   Fig 4b: LeanMD time per step vs replicas, cells 4x4x4 / 4x4x8 / 4x8x8.
 
 #include "apps/calibration.hpp"
+#include "apps/leanmd.hpp"
 #include "bench/lib/registry.hpp"
 #include "common/config.hpp"
 #include "common/table.hpp"
@@ -21,7 +22,8 @@ void run(bench::Reporter& rep, const Config& cfg) {
       {"replicas", "2048x2048", "8192x8192", "16384x16384"});
   std::vector<std::vector<apps::ScalingPoint>> jcols;
   for (int grid : {2048, 8192, 16384}) {
-    jcols.push_back(apps::measure_jacobi_scaling(grid, replicas, iters));
+    jcols.push_back(apps::measure_scaling<apps::Jacobi2D>(
+        apps::jacobi_for_grid(grid, iters), replicas));
   }
   for (std::size_t i = 0; i < replicas.size(); ++i) {
     jacobi.add_row({std::to_string(replicas[i]),
@@ -42,7 +44,7 @@ void run(bench::Reporter& rep, const Config& cfg) {
     md.atoms_per_cell = 400;
     md.real_atoms_per_cell = 8;
     md.max_iterations = iters;
-    lcols.push_back(apps::measure_leanmd_scaling(md, replicas));
+    lcols.push_back(apps::measure_scaling<apps::LeanMd>(md, replicas));
   }
   for (std::size_t i = 0; i < replicas.size(); ++i) {
     leanmd.add_row({std::to_string(replicas[i]),

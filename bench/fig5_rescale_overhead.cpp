@@ -32,7 +32,8 @@ void run(bench::Reporter& rep, const Config& cfg) {
       headers);
   for (int from : {4, 8, 16, 32, 60}) {
     add_timing_row(shrink, std::to_string(from),
-                   apps::measure_jacobi_rescale(grid, from, from / 2));
+                   apps::measure_rescale<apps::Jacobi2D>(
+                       apps::jacobi_for_grid(grid), from, from / 2));
   }
 
   Table& expand = rep.add_table(
@@ -42,7 +43,8 @@ void run(bench::Reporter& rep, const Config& cfg) {
       headers);
   for (int from : {2, 4, 8, 16, 32}) {
     add_timing_row(expand, std::to_string(from),
-                   apps::measure_jacobi_rescale(grid, from, from * 2));
+                   apps::measure_rescale<apps::Jacobi2D>(
+                       apps::jacobi_for_grid(grid), from, from * 2));
   }
 
   Table& bysize = rep.add_table(
@@ -50,7 +52,8 @@ void run(bench::Reporter& rep, const Config& cfg) {
       "Figure 5c: shrink 32 -> 16; x = grid size (one dimension)", headers);
   for (int g : {512, 2048, 8192, 32768}) {
     add_timing_row(bysize, std::to_string(g),
-                   apps::measure_jacobi_rescale(g, 32, 16));
+                   apps::measure_rescale<apps::Jacobi2D>(
+                       apps::jacobi_for_grid(g), 32, 16));
   }
 
   rep.note(

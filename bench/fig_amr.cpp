@@ -9,6 +9,7 @@
 
 #include <tuple>
 
+#include "apps/amr.hpp"
 #include "apps/calibration.hpp"
 #include "bench/lib/registry.hpp"
 #include "charm/load_balancer.hpp"
@@ -73,7 +74,8 @@ void run(bench::Reporter& rep, const Config& cfg) {
     rc.load_balancer = lb;
     const apps::AmrConfig config =
         schedsim::amr_config_for(elastic::JobClass::kLarge, /*refine_rate=*/0.12);
-    const auto t = apps::measure_amr_rescale(config, 32, 16, /*warmup=*/8, rc);
+    const auto t = apps::measure_rescale<apps::Amr>(
+        config, 32, 16, /*warmup_iterations=*/8, rc);
     stages.add_row({lb, format_double(t.load_balance_s, 4),
                     format_double(t.checkpoint_s, 4),
                     format_double(t.restart_s, 4),

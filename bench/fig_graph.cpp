@@ -18,6 +18,7 @@
 #include <tuple>
 #include <vector>
 
+#include "apps/calibration.hpp"
 #include "apps/graph.hpp"
 #include "bench/lib/registry.hpp"
 #include "charm/runtime.hpp"
@@ -32,22 +33,18 @@ using elastic::PolicyMode;
 
 namespace {
 
-/// Mean virtual-time superstep seconds for the graph config under one
-/// (load balancer, network) combination.
+/// Mean virtual-time superstep seconds for the graph config on 32 PEs under
+/// one (load balancer, network) combination.
 double mean_step_seconds(const apps::GraphConfig& config,
                          const std::string& lb, double oversub,
                          int lb_period) {
   charm::RuntimeConfig rc;
-  rc.num_pes = 32;
   rc.pes_per_node = 4;
   rc.load_balancer = lb;
   rc.network = net::make_network_model("fattree", oversub);
-  charm::Runtime rt(rc);
-  apps::Graph app(rt, config);
-  app.driver().set_lb_period(lb_period);
-  app.start();
-  rt.run();
-  return app.driver().iteration_end_times().back() / config.max_iterations;
+  return apps::measure_scaling<apps::Graph>(config, {32}, lb_period, rc)
+      .front()
+      .time_per_step_s;
 }
 
 void run(bench::Reporter& rep, const Config& cfg) {

@@ -90,6 +90,11 @@ class AmrBlock final : public charm::Chare {
 /// periodic load balancing are honoured at iteration boundaries).
 class Amr {
  public:
+  using Config = AmrConfig;
+  /// Calibration reads the mean step time over the whole run: the adapting
+  /// mesh has no steady state.
+  static constexpr int kCalibrationWarmup = 0;
+
   Amr(charm::Runtime& rt, AmrConfig config);
 
   /// Kick iteration 0. Call `rt.run()` (or run_until) afterwards.

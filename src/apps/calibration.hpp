@@ -2,20 +2,20 @@
 
 #include <vector>
 
-#include "apps/amr.hpp"
-#include "apps/graph.hpp"
+#include "apps/driver.hpp"
 #include "apps/jacobi2d.hpp"
-#include "apps/leanmd.hpp"
+#include "charm/load_balancer.hpp"
 #include "charm/rescale.hpp"
 #include "charm/runtime.hpp"
+#include "common/error.hpp"
 #include "common/piecewise_linear.hpp"
 
 namespace ehpc::apps {
 
-/// One strong-scaling measurement: steady-state time per step at a replica
-/// count. These curves feed the scheduler simulator (paper §4.3.1: "We use
-/// strong scaling performance measurements ... to model the runtime of a job
-/// for a given number of replicas using a piecewise linear function").
+/// One strong-scaling measurement: time per step at a replica count. These
+/// curves feed the scheduler simulator (paper §4.3.1: "We use strong scaling
+/// performance measurements ... to model the runtime of a job for a given
+/// number of replicas using a piecewise linear function").
 struct ScalingPoint {
   int replicas = 0;
   double time_per_step_s = 0.0;
@@ -25,43 +25,7 @@ struct ScalingPoint {
 /// (4× overdecomposition at 64 PEs), suitable for all four paper job sizes.
 JacobiConfig jacobi_for_grid(int grid_n, int max_iterations = 12);
 
-/// Run Jacobi2D on the minicharm runtime at each replica count and measure
-/// the steady-state time per iteration (first iteration discarded as warmup).
-std::vector<ScalingPoint> measure_jacobi_scaling(
-    int grid_n, const std::vector<int>& replica_counts, int iterations = 12,
-    charm::RuntimeConfig base = {});
-
-/// Same measurement for LeanMD.
-std::vector<ScalingPoint> measure_leanmd_scaling(
-    LeanMdConfig config, const std::vector<int>& replica_counts,
-    charm::RuntimeConfig base = {});
-
-/// Run Jacobi2D at `from_replicas`, post a CCS rescale to `to_replicas`
-/// after `warmup_iterations`, and return the per-stage timing (paper §4.2).
-charm::RescaleTiming measure_jacobi_rescale(int grid_n, int from_replicas,
-                                            int to_replicas,
-                                            int warmup_iterations = 3,
-                                            charm::RuntimeConfig base = {});
-
-/// Same measurement for the AMR workload. Scaling is averaged over the whole
-/// run (not just steady state): the adapting mesh has no steady state, so
-/// the mean step time is the honest calibration target. `lb_period` > 0 runs
-/// the configured load balancer every that many iterations, so the measured
-/// step time reflects the strategy's balancing quality *and* its cost —
-/// that is what differentiates null/greedy/refine on an irregular app.
-std::vector<ScalingPoint> measure_amr_scaling(
-    AmrConfig config, const std::vector<int>& replica_counts,
-    int lb_period = 0, charm::RuntimeConfig base = {});
-
-/// Run the AMR workload at `from_replicas` with the front well developed,
-/// then rescale to `to_replicas` — the rescale's LB stage sees a heavily
-/// imbalanced object set, unlike the Jacobi measurement.
-charm::RescaleTiming measure_amr_rescale(AmrConfig config, int from_replicas,
-                                         int to_replicas,
-                                         int warmup_iterations = 8,
-                                         charm::RuntimeConfig base = {});
-
-/// Imbalance profile of one AMR run with periodic load balancing: the mean
+/// Imbalance profile of one run with periodic load balancing: the mean
 /// pre/post-LB max/avg load ratios and migrations per LB step reported by
 /// the runtime's `lb_history()`.
 struct LbProfile {
@@ -71,21 +35,99 @@ struct LbProfile {
   int lb_steps = 0;
 };
 
-LbProfile measure_amr_lb_profile(AmrConfig config, int replicas,
-                                 int lb_period = 5,
-                                 charm::RuntimeConfig base = {});
+// The measurements below work for any minicharm app `App` with the shape of
+// Jacobi2D, LeanMd, Amr and Graph: a constructor `(charm::Runtime&,
+// App::Config)`, `start()`, `driver()`, `Config::max_iterations`, and
+// `App::kCalibrationWarmup`, the leading iterations the step time leaves out.
 
-/// Same measurements for the power-law graph workload. The mean step time
-/// is taken over the whole run (supersteps slow down as hub parts contend
-/// for uplinks, then speed up after LB migrations) — pass a contention
-/// NetworkModel in `base` to make placement quality visible in the number.
-std::vector<ScalingPoint> measure_graph_scaling(
-    GraphConfig config, const std::vector<int>& replica_counts,
-    int lb_period = 0, charm::RuntimeConfig base = {});
+namespace detail {
 
-LbProfile measure_graph_lb_profile(GraphConfig config, int replicas,
-                                   int lb_period = 4,
-                                   charm::RuntimeConfig base = {});
+/// What one finished run of an app leaves behind for a measurement.
+struct AppRun {
+  std::vector<double> iteration_end_times;
+  std::vector<charm::LbStepStats> lb_steps;
+  std::vector<charm::RescaleTiming> rescales;
+};
+
+/// Run `App` built from `config` on `replicas` PEs of `base` to completion.
+/// `setup` prepares the driver (LB period, rescale hooks) before the start.
+template <typename App, typename Setup>
+AppRun run_app(const typename App::Config& config, int replicas,
+               charm::RuntimeConfig base, Setup setup) {
+  EHPC_EXPECTS(replicas > 0);
+  base.num_pes = replicas;
+  charm::Runtime rt(base);
+  App app(rt, config);
+  setup(app.driver());
+  app.start();
+  rt.run();
+  EHPC_ENSURES(app.driver().finished());
+  return {app.driver().iteration_end_times(), rt.lb_history(),
+          rt.rescale_history()};
+}
+
+/// Seconds per step after the first `warmup` iterations, from the driver's
+/// end-time stamps; `warmup` 0 is the mean over the whole run from t = 0.
+double step_time(const std::vector<double>& end_times, int warmup);
+
+/// Mean ratios and migrations over a run's LB steps.
+LbProfile lb_profile(const std::vector<charm::LbStepStats>& steps);
+
+}  // namespace detail
+
+/// Run `App` at each replica count and measure its time per step.
+/// `lb_period` > 0 runs the configured load balancer every that many
+/// iterations, so on an irregular app the step time reflects the strategy's
+/// balancing quality *and* its cost. Pass a contention NetworkModel in `base`
+/// to make placement quality visible in the number.
+template <typename App>
+std::vector<ScalingPoint> measure_scaling(
+    const typename App::Config& config, const std::vector<int>& replica_counts,
+    int lb_period = 0, const charm::RuntimeConfig& base = {}) {
+  std::vector<ScalingPoint> out;
+  out.reserve(replica_counts.size());
+  for (int replicas : replica_counts) {
+    const detail::AppRun run = detail::run_app<App>(
+        config, replicas, base,
+        [lb_period](IterationDriver& d) { d.set_lb_period(lb_period); });
+    out.push_back({replicas, detail::step_time(run.iteration_end_times,
+                                               App::kCalibrationWarmup)});
+  }
+  return out;
+}
+
+/// Run `App` at `from_replicas`, post a CCS rescale to `to_replicas` after
+/// `warmup_iterations`, and return the per-stage timing (paper §4.2). The
+/// run lasts six iterations past the rescale, whatever `config` asks for.
+template <typename App>
+charm::RescaleTiming measure_rescale(typename App::Config config,
+                                     int from_replicas, int to_replicas,
+                                     int warmup_iterations = 3,
+                                     const charm::RuntimeConfig& base = {}) {
+  EHPC_EXPECTS(from_replicas > 0 && to_replicas > 0);
+  config.max_iterations = warmup_iterations + 6;
+  const detail::AppRun run = detail::run_app<App>(
+      config, from_replicas, base, [&](IterationDriver& d) {
+        d.at_iteration(warmup_iterations, [to_replicas](charm::Runtime& r) {
+          r.ccs().request_rescale(to_replicas);
+        });
+      });
+  EHPC_ENSURES(!run.rescales.empty());
+  return run.rescales.back();
+}
+
+/// LB profile of one run of `App` on `replicas` PEs with the configured load
+/// balancer running every `lb_period` iterations.
+template <typename App>
+LbProfile measure_lb_profile(const typename App::Config& config, int replicas,
+                             int lb_period,
+                             const charm::RuntimeConfig& base = {}) {
+  EHPC_EXPECTS(replicas > 0 && lb_period > 0);
+  const detail::AppRun run = detail::run_app<App>(
+      config, replicas, base,
+      [lb_period](IterationDriver& d) { d.set_lb_period(lb_period); });
+  return detail::lb_profile(run.lb_steps);
+}
 
 /// Piecewise-linear time-per-step(replicas) curve from scaling points.
 PiecewiseLinear scaling_curve(const std::vector<ScalingPoint>& points);

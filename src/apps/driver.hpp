@@ -13,8 +13,8 @@ namespace ehpc::apps {
 /// rescale commands at every iteration boundary (the "next load-balancing
 /// step" where Charm++ honours shrink/expand signals).
 ///
-/// Both Jacobi2D and LeanMD use this driver; they differ only in their
-/// element logic and in the `kick` they install.
+/// Jacobi2D, LeanMD, AMR and Graph all use this driver; they differ only in
+/// their element logic and in the `kick` they install.
 class IterationDriver {
  public:
   /// `kick(iteration)` must broadcast whatever makes every element of

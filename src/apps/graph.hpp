@@ -107,6 +107,11 @@ class GraphPart final : public charm::Chare {
 /// load balancing are honoured at superstep boundaries).
 class Graph {
  public:
+  using Config = GraphConfig;
+  /// Calibration reads the mean step time over the whole run: LB migrations
+  /// change the superstep time mid-run, so there is no steady state.
+  static constexpr int kCalibrationWarmup = 0;
+
   Graph(charm::Runtime& rt, GraphConfig config);
 
   /// Kick superstep 0. Call `rt.run()` (or run_until) afterwards.

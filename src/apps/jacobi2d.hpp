@@ -83,6 +83,11 @@ class JacobiBlock final : public charm::Chare {
 /// boundaries.
 class Jacobi2D {
  public:
+  using Config = JacobiConfig;
+  /// Leading iterations calibration leaves out of the step time: a regular
+  /// stencil settles into a steady state after the startup transient.
+  static constexpr int kCalibrationWarmup = 2;
+
   Jacobi2D(charm::Runtime& rt, JacobiConfig config);
 
   /// Kick iteration 0. Call `rt.run()` (or run_until) afterwards.

@@ -74,6 +74,11 @@ class MdCell final : public charm::Chare {
 /// and the energy reduction, drives iterations via IterationDriver.
 class LeanMd {
  public:
+  using Config = LeanMdConfig;
+  /// Leading iterations calibration leaves out of the step time: fixed
+  /// cells settle into a steady state after the startup transient.
+  static constexpr int kCalibrationWarmup = 2;
+
   LeanMd(charm::Runtime& rt, LeanMdConfig config);
 
   void start() { driver_->start(); }

@@ -575,7 +575,6 @@ void Runtime::execute_rescale(CcsCommand cmd) {
   }
   timing.checkpoint_modeled_bytes = ckpt.total_modeled_bytes();
 
-  last_rescale_ = timing;
   rescale_history_.push_back(timing);
   EHPC_INFO("charm",
             "rescale %d -> %d pes: lb=%.3fs ckpt=%.3fs restart=%.3fs restore=%.3fs",

@@ -4,7 +4,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -212,9 +211,6 @@ class Runtime {
   int disk_checkpoints_taken() const { return disk_checkpoints_taken_; }
   int recoveries() const { return recoveries_; }
 
-  /// Timing of the most recent rescale (empty before the first one).
-  const std::optional<RescaleTiming>& last_rescale() const { return last_rescale_; }
-
   /// All rescale timings observed so far, in order.
   const std::vector<RescaleTiming>& rescale_history() const { return rescale_history_; }
 
@@ -364,7 +360,6 @@ class Runtime {
   std::vector<PendingContribute> ctx_contributes_;
 
   RestartHandler restart_handler_;
-  std::optional<RescaleTiming> last_rescale_;
   std::vector<RescaleTiming> rescale_history_;
   std::vector<LbStepStats> lb_history_;
 

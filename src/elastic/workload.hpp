@@ -40,7 +40,7 @@ struct RescaleOverheadModel {
 };
 
 /// Calibrated load-balancing behaviour of one runtime LB step for this
-/// workload, as measured on minicharm (`apps::measure_amr_lb_profile`). The
+/// workload, as measured on minicharm (`apps::measure_lb_profile`). The
 /// default models a regular app: a perfectly balanced step with no
 /// migrations. The experiment harness surfaces these through
 /// `RunMetrics::lb_*` whenever a job rescales.

@@ -27,6 +27,27 @@ std::map<JobClass, Workload> memoized(const Key& key, Measure measure) {
   return cache.emplace(key, measure()).first->second;
 }
 
+/// Step-time curves and LB profiles measured by running `App` on minicharm
+/// under `rc` with LB every 4 iterations: the curve over 1-64 replicas, the
+/// profile (the LB behaviour per rescale) at a mid-size 16 PEs, where the
+/// irregular apps' imbalance is pronounced.
+template <typename App, typename ConfigFor>
+std::map<JobClass, Workload> measured_workloads(const charm::RuntimeConfig& rc,
+                                                ConfigFor config_for) {
+  std::map<JobClass, Workload> out = analytic_workloads();
+  const std::vector<int> replicas{1, 4, 16, 64};
+  for (auto& [cls, workload] : out) {
+    const typename App::Config config = config_for(cls);
+    workload.time_per_step = apps::scaling_curve(
+        apps::measure_scaling<App>(config, replicas, /*lb_period=*/4, rc));
+    const apps::LbProfile profile = apps::measure_lb_profile<App>(
+        config, /*replicas=*/16, /*lb_period=*/4, rc);
+    workload.lb.post_ratio = profile.post_ratio;
+    workload.lb.migrations_per_step = profile.migrations_per_step;
+  }
+  return out;
+}
+
 }  // namespace
 
 std::map<JobClass, Workload> analytic_workloads() {
@@ -42,8 +63,8 @@ std::map<JobClass, Workload> calibrated_workloads() {
   std::map<JobClass, Workload> out = analytic_workloads();
   const std::vector<int> replicas{1, 2, 4, 8, 16, 32, 64};
   for (auto& [cls, workload] : out) {
-    const auto points =
-        apps::measure_jacobi_scaling(workload.grid_n, replicas, /*iterations=*/8);
+    const auto points = apps::measure_scaling<apps::Jacobi2D>(
+        apps::jacobi_for_grid(workload.grid_n, /*max_iterations=*/8), replicas);
     workload.time_per_step = apps::scaling_curve(points);
   }
   return out;
@@ -83,22 +104,10 @@ apps::AmrConfig amr_config_for(JobClass c, double refine_rate) {
 std::map<JobClass, Workload> amr_calibrated_workloads(
     double refine_rate, const std::string& lb_strategy) {
   return memoized(std::make_tuple(refine_rate, lb_strategy), [&] {
-    std::map<JobClass, Workload> out = analytic_workloads();
-    const std::vector<int> replicas{1, 4, 16, 64};
     charm::RuntimeConfig rc;
     rc.load_balancer = lb_strategy;
-    for (auto& [cls, workload] : out) {
-      const apps::AmrConfig config = amr_config_for(cls, refine_rate);
-      workload.time_per_step = apps::scaling_curve(
-          apps::measure_amr_scaling(config, replicas, /*lb_period=*/4, rc));
-      // LB behaviour per rescale: measured at a mid-size PE count where the
-      // front-driven imbalance is pronounced.
-      const apps::LbProfile profile = apps::measure_amr_lb_profile(
-          config, /*replicas=*/16, /*lb_period=*/4, rc);
-      workload.lb.post_ratio = profile.post_ratio;
-      workload.lb.migrations_per_step = profile.migrations_per_step;
-    }
-    return out;
+    return measured_workloads<apps::Amr>(
+        rc, [&](JobClass c) { return amr_config_for(c, refine_rate); });
   });
 }
 
@@ -137,26 +146,16 @@ std::map<JobClass, Workload> graph_calibrated_workloads(
   const auto key =
       std::make_tuple(vertices, skew, lb_strategy, net_model, net_oversub);
   return memoized(key, [&] {
-    std::map<JobClass, Workload> out = analytic_workloads();
-    const std::vector<int> replicas{1, 4, 16, 64};
     charm::RuntimeConfig rc;
     rc.load_balancer = lb_strategy;
     // 4 PEs per node so 64 replicas span 16 nodes (4 racks of the radix-4
-    // topology): rack locality actually varies with placement.
+    // topology): rack locality actually varies with placement, and the 16-PE
+    // LB profile spreads the hub parts over multiple racks.
     rc.pes_per_node = 4;
     rc.network = net::make_network_model(net_model, net_oversub);
-    for (auto& [cls, workload] : out) {
-      const apps::GraphConfig config = graph_config_for(cls, vertices, skew);
-      workload.time_per_step = apps::scaling_curve(
-          apps::measure_graph_scaling(config, replicas, /*lb_period=*/4, rc));
-      // LB behaviour per rescale: measured where the hub parts are spread
-      // over multiple racks.
-      const apps::LbProfile profile = apps::measure_graph_lb_profile(
-          config, /*replicas=*/16, /*lb_period=*/4, rc);
-      workload.lb.post_ratio = profile.post_ratio;
-      workload.lb.migrations_per_step = profile.migrations_per_step;
-    }
-    return out;
+    return measured_workloads<apps::Graph>(rc, [&](JobClass c) {
+      return graph_config_for(c, vertices, skew);
+    });
   });
 }
 

@@ -1,7 +1,6 @@
 #include "sim/trace.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 #include "common/error.hpp"
 #include "common/stats.hpp"
@@ -19,13 +18,6 @@ void TraceRecorder::record(const std::string& name, Time t, double value) {
 const TraceRecorder::Series& TraceRecorder::series(const std::string& name) const {
   auto it = series_.find(name);
   return it == series_.end() ? kEmpty : it->second;
-}
-
-std::vector<std::string> TraceRecorder::names() const {
-  std::vector<std::string> out;
-  out.reserve(series_.size());
-  for (const auto& [name, _] : series_) out.push_back(name);
-  return out;
 }
 
 double TraceRecorder::value_at(const std::string& name, Time t,
@@ -48,14 +40,6 @@ double TraceRecorder::average(const std::string& name, Time start, Time end) con
     if (t > start && t <= end) steps.emplace_back(t, v);
   }
   return time_weighted_average(steps, end);
-}
-
-std::string TraceRecorder::to_csv(const std::string& name,
-                                  const std::string& value_header) const {
-  std::ostringstream out;
-  out << "time," << value_header << '\n';
-  for (const auto& [t, v] : series(name)) out << t << ',' << v << '\n';
-  return out.str();
 }
 
 }  // namespace ehpc::sim

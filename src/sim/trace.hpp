@@ -25,9 +25,6 @@ class TraceRecorder {
   /// The samples of one series (empty if never recorded).
   const Series& series(const std::string& name) const;
 
-  /// All series names in lexicographic order.
-  std::vector<std::string> names() const;
-
   bool has(const std::string& name) const { return series_.count(name) > 0; }
 
   /// Value of the step function at time t (last sample at or before t);
@@ -36,9 +33,6 @@ class TraceRecorder {
 
   /// Time-weighted average of the series over [start, end].
   double average(const std::string& name, Time start, Time end) const;
-
-  /// Render one series as CSV with the given column header.
-  std::string to_csv(const std::string& name, const std::string& value_header) const;
 
  private:
   std::map<std::string, Series> series_;

@@ -172,7 +172,7 @@ TEST(Amr, SurvivesRescaleMidRun) {
   app.start();
   rt.run();
   ASSERT_TRUE(app.driver().finished());
-  ASSERT_TRUE(rt.last_rescale().has_value());
+  ASSERT_EQ(rt.rescale_history().size(), 1u);
   EXPECT_EQ(rt.num_pes(), 4);
 
   // The mesh (and therefore total model cells) must match an undisturbed
@@ -207,13 +207,13 @@ TEST(AmrCalibration, ScalingCurveDecreasesWithReplicas) {
   AmrConfig config = small_config();
   config.blocks = 32;
   config.cells_per_block = 65536;
-  const auto points = measure_amr_scaling(config, {1, 4, 16}, /*lb_period=*/4);
+  const auto points = measure_scaling<Amr>(config, {1, 4, 16}, /*lb_period=*/4);
   ASSERT_EQ(points.size(), 3u);
   EXPECT_GT(points[0].time_per_step_s, points[2].time_per_step_s);
 }
 
 TEST(AmrCalibration, RescaleUnderImbalanceMigratesObjects) {
-  const auto timing = measure_amr_rescale(small_config(), 8, 4, /*warmup=*/6);
+  const auto timing = measure_rescale<Amr>(small_config(), 8, 4, /*warmup=*/6);
   EXPECT_EQ(timing.old_pes, 8);
   EXPECT_EQ(timing.new_pes, 4);
   EXPECT_GT(timing.migrated_objects, 0);
@@ -222,7 +222,7 @@ TEST(AmrCalibration, RescaleUnderImbalanceMigratesObjects) {
 
 TEST(AmrCalibration, LbProfileReportsImbalance) {
   const LbProfile profile =
-      measure_amr_lb_profile(small_config(), /*replicas=*/4, /*lb_period=*/3);
+      measure_lb_profile<Amr>(small_config(), /*replicas=*/4, /*lb_period=*/3);
   EXPECT_GT(profile.lb_steps, 0);
   EXPECT_GE(profile.pre_ratio, 1.0);
   EXPECT_GE(profile.post_ratio, 1.0);

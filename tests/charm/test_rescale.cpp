@@ -42,8 +42,8 @@ TEST(Rescale, ShrinkRecordsFourStages) {
   app.driver().at_iteration(2, [](Runtime& r) { r.ccs().request_rescale(4); });
   app.start();
   rt.run();
-  ASSERT_TRUE(rt.last_rescale().has_value());
-  const RescaleTiming& t = *rt.last_rescale();
+  ASSERT_EQ(rt.rescale_history().size(), 1u);
+  const RescaleTiming& t = rt.rescale_history().back();
   EXPECT_EQ(t.direction, RescaleDirection::kShrink);
   EXPECT_EQ(t.old_pes, 8);
   EXPECT_EQ(t.new_pes, 4);
@@ -121,7 +121,7 @@ TEST(Rescale, RescaleToSameSizeIsNoOpWithAck) {
   app.start();
   rt.run();
   EXPECT_TRUE(acked);
-  EXPECT_FALSE(rt.last_rescale().has_value());
+  EXPECT_TRUE(rt.rescale_history().empty());
 }
 
 TEST(Rescale, IterationGapAppearsInTimeline) {
@@ -141,7 +141,8 @@ TEST(Rescale, IterationGapAppearsInTimeline) {
     max_other = std::max(max_other, times[i] - times[i - 1]);
   }
   EXPECT_GT(rescale_gap, max_other);
-  EXPECT_GE(rescale_gap, rt.last_rescale()->total());
+  ASSERT_EQ(rt.rescale_history().size(), 1u);
+  EXPECT_GE(rescale_gap, rt.rescale_history().back().total());
 }
 
 TEST(Rescale, ShrinkThenExpandRoundTrip) {

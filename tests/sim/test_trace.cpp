@@ -48,19 +48,5 @@ TEST(TraceRecorder, RejectsTimeTravel) {
   EXPECT_THROW(tr.record("u", 4.0, 1.0), PreconditionError);
 }
 
-TEST(TraceRecorder, NamesSorted) {
-  TraceRecorder tr;
-  tr.record("b", 0.0, 1.0);
-  tr.record("a", 0.0, 1.0);
-  EXPECT_EQ(tr.names(), (std::vector<std::string>{"a", "b"}));
-}
-
-TEST(TraceRecorder, CsvFormat) {
-  TraceRecorder tr;
-  tr.record("u", 0.0, 1.0);
-  tr.record("u", 2.5, 3.0);
-  EXPECT_EQ(tr.to_csv("u", "util"), "time,util\n0,1\n2.5,3\n");
-}
-
 }  // namespace
 }  // namespace ehpc::sim
