@@ -19,6 +19,12 @@ void run(bench::Reporter& rep, const Config& cfg) {
   const int shrink_at = cfg.get_int("shrink_at", 1000);
   const int expand_at = cfg.get_int("expand_at", 2000);
   const int sample = cfg.get_int("sample", 10);
+  // The timeline loop below steps by `sample`, and window_at reads back
+  // `sample` iterations.
+  if (sample <= 0) {
+    throw ConfigError("sample must be > 0, got '" + cfg.get_or("sample", "") +
+                      "'");
+  }
 
   charm::RuntimeConfig rc;
   rc.num_pes = 32;

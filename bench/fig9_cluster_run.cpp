@@ -13,6 +13,7 @@
 
 #include "bench/lib/registry.hpp"
 #include "common/config.hpp"
+#include "common/stats.hpp"
 #include "common/table.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/sweep.hpp"
@@ -30,6 +31,11 @@ void run(bench::Reporter& rep, const Config& cfg) {
   spec.rescale_gap_s = cfg.get_double("rescale_gap", 180.0);
   spec.calibrated = cfg.get_bool("calibrated", true);
   const double bucket = cfg.get_double("bucket", 60.0);
+  // The profile loop below steps by `bucket`.
+  if (!(bucket > 0.0)) {
+    throw ConfigError("bucket must be > 0, got '" + cfg.get_or("bucket", "") +
+                      "'");
+  }
 
   const auto mix = scenario::make_mix(spec, spec.seed);
   const auto results = scenario::run_policies(spec, mix);
@@ -45,7 +51,7 @@ void run(bench::Reporter& rep, const Config& cfg) {
   for (double t = 0.0; t < horizon; t += bucket) {
     auto cell = [&](PolicyMode mode) {
       return format_double(
-          results.at(mode).trace.average("util", t, t + bucket), 3);
+          step_average(results.at(mode).utilization, t, t + bucket), 3);
     };
     profile.add_row({format_double(t, 0), cell(PolicyMode::kRigidMin),
                      cell(PolicyMode::kRigidMax), cell(PolicyMode::kMoldable),
@@ -55,13 +61,19 @@ void run(bench::Reporter& rep, const Config& cfg) {
   // Fig 9b: the xlarge job that rescaled the most under elastic; if no
   // xlarge rescaled in this mix, fall back to the most-rescaled job overall.
   const auto& elastic_run = results.at(PolicyMode::kElastic);
+  const std::vector<std::pair<double, int>> no_steps;
+  // One job's replica series; empty if the job never reached the cluster.
+  auto replica_series =
+      [&](elastic::JobId id) -> const std::vector<std::pair<double, int>>& {
+    const auto it = elastic_run.replicas.find(id);
+    return it == elastic_run.replicas.end() ? no_steps : it->second;
+  };
   int best_job = -1;
   std::size_t best_changes = 0;
   std::string best_class = "xlarge";
   for (const auto& sj : mix) {
     if (sj.job_class != elastic::JobClass::kXLarge) continue;
-    const auto& series = elastic_run.trace.series(
-        "job." + std::to_string(sj.spec.id) + ".replicas");
+    const auto& series = replica_series(sj.spec.id);
     if (series.size() >= best_changes) {
       best_changes = series.size();
       best_job = sj.spec.id;
@@ -69,8 +81,7 @@ void run(bench::Reporter& rep, const Config& cfg) {
   }
   if (best_changes < 3) {
     for (const auto& sj : mix) {
-      const auto& series = elastic_run.trace.series(
-          "job." + std::to_string(sj.spec.id) + ".replicas");
+      const auto& series = replica_series(sj.spec.id);
       if (series.size() > best_changes) {
         best_changes = series.size();
         best_job = sj.spec.id;
@@ -84,9 +95,8 @@ void run(bench::Reporter& rep, const Config& cfg) {
         "Figure 9b: replica evolution of " + best_class + " job " +
             std::to_string(best_job) + " (elastic)",
         {"timestamp_s", "replicas"});
-    for (const auto& [t, v] :
-         elastic_run.trace.series("job." + std::to_string(best_job) + ".replicas")) {
-      evolution.add_row({format_double(t, 1), format_double(v, 0)});
+    for (const auto& [t, replicas] : replica_series(best_job)) {
+      evolution.add_row({format_double(t, 1), std::to_string(replicas)});
     }
   } else {
     rep.note("(no xlarge job in this mix; rerun with another seed)");

@@ -172,4 +172,24 @@ double time_weighted_average(const std::vector<std::pair<double, double>>& steps
   return weighted / span;
 }
 
+double step_average(const std::vector<std::pair<double, double>>& series,
+                    double start, double end) {
+  EHPC_EXPECTS(end >= start);
+  EHPC_EXPECTS(std::is_sorted(
+      series.begin(), series.end(),
+      [](const auto& a, const auto& b) { return a.first < b.first; }));
+  // The first sample after `start`; the one before it holds at `start`.
+  auto next = std::upper_bound(
+      series.begin(), series.end(), start,
+      [](double t, const auto& sample) { return t < sample.first; });
+  const double at_start =
+      next == series.begin() ? 0.0 : std::prev(next)->second;
+  if (end == start) return at_start;
+  std::vector<std::pair<double, double>> steps{{start, at_start}};
+  for (; next != series.end() && next->first <= end; ++next) {
+    steps.push_back(*next);
+  }
+  return time_weighted_average(steps, end);
+}
+
 }  // namespace ehpc

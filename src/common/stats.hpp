@@ -3,6 +3,7 @@
 #include <array>
 #include <cstddef>
 #include <span>
+#include <utility>
 #include <vector>
 
 namespace ehpc {
@@ -103,5 +104,13 @@ inline double mean_of(std::initializer_list<double> samples) {
 /// from utilization-change events.
 double time_weighted_average(const std::vector<std::pair<double, double>>& steps,
                              double end_time);
+
+/// Time-weighted average over [start, end] of a step series: sample
+/// (t, v) means "the value changed to v at t", and the series reads 0
+/// before its first sample (or when empty). A zero-width window reads the
+/// value at `start`. Sample times must be non-decreasing. Used for Fig. 9's
+/// bucketed utilization profile.
+double step_average(const std::vector<std::pair<double, double>>& series,
+                    double start, double end);
 
 }  // namespace ehpc

@@ -31,12 +31,24 @@ class ClusterExperiment::Harness final : public schedsim::ExecHarness {
     const double total = static_cast<double>(cluster.total_cpus());
     collector().record_usage(cluster.sim().now(),
                              std::min(used, cluster.total_cpus()));
-    if (streaming()) return;  // the step trace grows with the trace length
-    trace().record("util", cluster.sim().now(),
-                   static_cast<double>(used) / total);
+    if (streaming()) return;  // the series grows with the trace length
+    utilization_.emplace_back(cluster.sim().now(),
+                              static_cast<double>(used) / total);
+  }
+
+  /// Hand Fig. 9's step series over to a batch run's result.
+  void take_series(schedsim::SimResult& result) {
+    result.utilization = std::move(utilization_);
+    result.replicas = std::move(replicas_);
   }
 
  private:
+  /// Append to job `id`'s replica series at the current time; batch only.
+  void record_replicas(JobId id, int replicas) {
+    if (streaming()) return;  // the series grow with the trace length
+    replicas_[id].emplace_back(sim().now(), replicas);
+  }
+
   /// Staged rescale/ack callbacks may dereference a job's exec after it
   /// completes (guarded by `exec.done`), so streaming replay must not erase
   /// retired execs on this substrate.
@@ -191,6 +203,7 @@ class ClusterExperiment::Harness final : public schedsim::ExecHarness {
   }
 
   void on_job_completed(schedsim::JobExec& exec) override {
+    record_replicas(exec.record.id, 0);
     owner_.jobs_.mutate(exec.job_name, [](CharmJob& j) {
       j.phase = CharmJobPhase::kCompleted;
     });
@@ -231,6 +244,8 @@ class ClusterExperiment::Harness final : public schedsim::ExecHarness {
   ClusterExperiment& owner_;
   /// Rescale targets issued before a job's pods came up, by job id.
   std::map<elastic::JobId, int> deferred_rescales_;
+  std::vector<std::pair<double, double>> utilization_;
+  std::map<JobId, std::vector<std::pair<double, int>>> replicas_;
 };
 
 ClusterExperiment::ClusterExperiment(
@@ -246,7 +261,7 @@ ClusterExperiment::ClusterExperiment(
   harness_ = std::make_unique<Harness>(*this);
   harness_->set_fault_plan(config_.faults);
 
-  // Physical utilization trace: one sample per delivered pod-event batch.
+  // Physical utilization: one sample per delivered pod-event batch.
   // Samples within a tick are zero-width in the time-weighted integral, so
   // one end-of-batch sample is metric-identical to one per mutation.
   cluster_.pods().observe_batches([this] {
@@ -258,7 +273,9 @@ ClusterExperiment::~ClusterExperiment() = default;
 
 schedsim::SimResult ClusterExperiment::run(
     const std::vector<schedsim::SubmittedJob>& mix) {
-  return harness_->run(mix);
+  schedsim::SimResult result = harness_->run(mix);
+  harness_->take_series(result);
+  return result;
 }
 
 schedsim::SimResult ClusterExperiment::run_stream(trace::TraceSource& source) {

@@ -44,7 +44,9 @@ class ClusterExperiment {
                     std::map<elastic::JobClass, elastic::Workload> workloads);
   ~ClusterExperiment();
 
-  /// Execute one job mix to completion. Single-shot per instance.
+  /// Execute one job mix to completion. The result carries Fig. 9's step
+  /// series (`SimResult::utilization`, `SimResult::replicas`). Single-shot
+  /// per instance.
   schedsim::SimResult run(const std::vector<schedsim::SubmittedJob>& mix);
 
   /// Replay a streaming trace through the operator machinery. Metrics are

@@ -16,8 +16,9 @@
 namespace ehpc::scenario {
 
 /// Substrate-agnostic executor of one experiment: hand it a job mix, get the
-/// run's metrics/traces back. The two implementations wrap the paper's two
-/// substrates, which share all policy and bookkeeping code through
+/// run's `SimResult` back (metrics and per-job records; the cluster backend
+/// also fills Fig. 9's step series). The two implementations wrap the
+/// paper's two substrates, which share all policy and bookkeeping code through
 /// `schedsim::ExecHarness` — the backend seam only picks how actions are
 /// realised.
 class ExperimentBackend {

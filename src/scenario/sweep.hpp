@@ -45,14 +45,16 @@ elastic::RunMetrics run_repeats(const ScenarioSpec& spec,
                                 const elastic::PolicyConfig& policy,
                                 int threads = 1);
 
-/// One full run of a single policy on one deterministic mix, returning
-/// traces for Fig. 9-style plots (utilization profile, per-job replicas).
+/// One full run of a single policy on one deterministic mix, returning the
+/// full `SimResult`; on the cluster substrate that includes Fig. 9's step
+/// series (utilization profile, per-job replicas).
 schedsim::SimResult run_single(const ScenarioSpec& spec,
                                elastic::PolicyMode mode, unsigned mix_seed);
 
 /// Run every policy of the scenario on one shared mix, keeping full results
-/// (traces, job records, rescale counts). Serial; used by Table 1 / Fig. 9
-/// style benches that need more than averaged metrics.
+/// (job records, rescale counts, and the cluster substrate's step series).
+/// Serial; used by Table 1 / Fig. 9 style benches that need more than
+/// averaged metrics.
 std::map<elastic::PolicyMode, schedsim::SimResult> run_policies(
     const ScenarioSpec& spec, const std::vector<schedsim::SubmittedJob>& mix);
 

@@ -93,7 +93,6 @@ SimResult ExecHarness::run(const std::vector<SubmittedJob>& mix) {
     result.jobs.push_back(exec.record);
   }
   result.metrics = collector_->compute();
-  result.trace = std::move(trace_);
   result.rescale_count = rescale_count_;
   result.stream.jobs_submitted = static_cast<long>(mix.size());
   result.stream.peak_live_jobs = static_cast<long>(mix.size());
@@ -255,7 +254,6 @@ void ExecHarness::finish_job(JobId id, JobOutcome outcome) {
     // ordered.
     exec.record.start_time = exec.record.submit_time;
   }
-  record_replicas(id, 0);
   on_job_completed(exec);
   // Free the job's slots before the engine's follow-up actions, which may
   // start queued jobs into them.
@@ -313,18 +311,8 @@ void ExecHarness::retire_job(JobId id) {
   if (retire_completed_execs()) execs_.erase(it);
 }
 
-void ExecHarness::record_replicas(JobId id, int replicas) {
-  if (streaming_) return;  // step traces grow with the trace length
-  trace_.record("job." + std::to_string(id) + ".replicas", sim_.now(),
-                static_cast<double>(replicas));
-}
-
 void ExecHarness::record_engine_usage() {
-  const int used = engine_->used_slots();
-  collector_->record_usage(sim_.now(), used);
-  if (streaming_) return;
-  trace_.record("util", sim_.now(),
-                static_cast<double>(used) / static_cast<double>(total_slots_));
+  collector_->record_usage(sim_.now(), engine_->used_slots());
 }
 
 // ---- fault injection ----

@@ -5,6 +5,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/stats.hpp"
@@ -14,7 +15,6 @@
 #include "schedsim/fault.hpp"
 #include "schedsim/jobmix.hpp"
 #include "sim/simulation.hpp"
-#include "sim/trace.hpp"
 
 namespace ehpc::trace {
 class TraceSource;
@@ -45,9 +45,15 @@ struct SimResult {
   elastic::RunMetrics metrics;
   /// Per-job records; empty after `run_stream` (jobs retire to summaries).
   std::vector<elastic::JobRecord> jobs;
-  /// Step traces: "util" (used slots / total) and "job.<id>.replicas".
-  /// Empty after `run_stream` — step traces grow with the trace length.
-  sim::TraceRecorder trace;
+  /// Fig. 9's step series: a sample (t, v) means "the value changed to v at
+  /// t". Cluster substrate, batch `run()` only: empty on the pure simulator
+  /// and after `run_stream`.
+  /// Physical utilization, bound CPUs / total (unclamped), sampled once per
+  /// delivered pod-event batch.
+  std::vector<std::pair<double, double>> utilization;
+  /// Per-job replica count: the width the job started at once its pods were
+  /// ready, each realized rescale, and 0 when it finished.
+  std::map<elastic::JobId, std::vector<std::pair<double, int>>> replicas;
   int rescale_count = 0;  ///< shrink+expand operations executed
   StreamStats stream;
 };
@@ -115,15 +121,15 @@ struct JobExec {
 };
 
 /// Substrate-agnostic experiment harness: owns the PolicyEngine, the shared
-/// per-job `JobExec` table, metrics collection and tracing, and drives one
+/// per-job `JobExec` table and metrics collection, and drives one
 /// job mix to completion over a virtual-time Simulation. Substrates
 /// specialise only how policy actions are *realised* (instantly in the pure
 /// simulator; through the operator's pod/handshake machinery on the
 /// Kubernetes substrate) by overriding the protected hooks.
 ///
 /// Two drive modes, single-shot either way (one run per harness instance):
-///  - `run(mix)`: materialized job list; retains per-job records and step
-///    traces in the result.
+///  - `run(mix)`: materialized job list; retains per-job records in the
+///    result.
 ///  - `run_stream(source)`: pulls submissions one at a time from a
 ///    TraceSource (at most one pending submission event at any moment) and
 ///    retires each finished job to O(1) summaries, so arbitrarily long
@@ -140,7 +146,7 @@ class ExecHarness {
   ExecHarness(const ExecHarness&) = delete;
   ExecHarness& operator=(const ExecHarness&) = delete;
 
-  /// Execute one job mix to completion and collect metrics/traces.
+  /// Execute one job mix to completion and collect its metrics.
   SimResult run(const std::vector<SubmittedJob>& mix);
 
   /// Execute a streaming trace to completion in bounded memory. The source
@@ -181,7 +187,7 @@ class ExecHarness {
   /// usage through its own watch instead.
   virtual void on_actions_applied();
   /// Called when a started job finishes (completes, fails, or times out),
-  /// after its record/trace updates but before the policy engine reacts.
+  /// after its record is stamped but before the policy engine reacts.
   /// Not called for jobs abandoned in the queue — they never reached the
   /// substrate.
   virtual void on_job_completed(JobExec& exec);
@@ -203,11 +209,7 @@ class ExecHarness {
   /// (Re)schedule the completion event from remaining work and pause state.
   void schedule_completion(elastic::JobId id);
   void complete_job(elastic::JobId id);
-  /// Append to the "job.<id>.replicas" step trace at the current time.
-  /// No-op while streaming (step traces grow with trace length).
-  void record_replicas(elastic::JobId id, int replicas);
-  /// Record the policy engine's used-slot count into metrics + "util" trace
-  /// (the trace write is skipped while streaming).
+  /// Record the policy engine's used-slot count into the metrics collector.
   void record_engine_usage();
   /// Count a *realized* rescale of job `id` and record the runtime LB step
   /// it implies (the job's calibrated imbalance profile) — call from the
@@ -219,9 +221,8 @@ class ExecHarness {
   sim::Simulation& sim() { return sim_; }
   JobExec& exec(elastic::JobId id) { return execs_.at(id); }
   std::map<elastic::JobId, JobExec>& execs() { return execs_; }
-  sim::TraceRecorder& trace() { return trace_; }
-  /// True inside `run_stream` — substrates gate their own O(events) trace
-  /// recording on this.
+  /// True inside `run_stream` — substrates gate their own O(events) step
+  /// series on this.
   bool streaming() const { return streaming_; }
 
  private:
@@ -284,7 +285,6 @@ class ExecHarness {
   std::unique_ptr<elastic::PolicyEngine> engine_;
   std::map<elastic::JobId, JobExec> execs_;
   std::unique_ptr<elastic::MetricsCollector> collector_;
-  sim::TraceRecorder trace_;
   int rescale_count_ = 0;
   bool used_ = false;
   FaultPlan fault_plan_;

@@ -29,7 +29,6 @@ class SimHarness final : public ExecHarness {
     // immediately.
     e.accrue_from = sim().now();
     schedule_completion(id);
-    record_replicas(id, replicas);
   }
 
   void shrink_job(JobId id, int target) override { resize_job(id, target); }
@@ -58,7 +57,6 @@ class SimHarness final : public ExecHarness {
     e.accrue_from = pause_base + overhead;
     note_rescale(id);
     schedule_completion(id);
-    record_replicas(id, new_replicas);
     EHPC_DEBUG("schedsim", "job %d resized %d -> %d (overhead %.2fs)", id,
                old_replicas, new_replicas, overhead);
   }

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -152,6 +153,44 @@ TEST(TimeWeightedAverage, ZeroSpanReturnsLastValue) {
 
 TEST(TimeWeightedAverage, EndTimeBeforeStartThrows) {
   EXPECT_THROW(time_weighted_average({{2.0, 7.0}}, 1.0), PreconditionError);
+}
+
+using StepSeries = std::vector<std::pair<double, double>>;
+
+TEST(StepAverage, EmptySeriesReadsZero) {
+  EXPECT_DOUBLE_EQ(step_average({}, 1.0, 1.0), 0.0);
+  EXPECT_DOUBLE_EQ(step_average({}, 0.0, 10.0), 0.0);
+}
+
+TEST(StepAverage, ZeroWidthWindowFollowsStepFunction) {
+  const StepSeries s{{0.0, 1.0}, {10.0, 2.0}};
+  EXPECT_DOUBLE_EQ(step_average(s, 0.0, 0.0), 1.0);
+  EXPECT_DOUBLE_EQ(step_average(s, 5.0, 5.0), 1.0);
+  EXPECT_DOUBLE_EQ(step_average(s, 10.0, 10.0), 2.0);
+  EXPECT_DOUBLE_EQ(step_average(s, 99.0, 99.0), 2.0);
+}
+
+TEST(StepAverage, ValueBeforeFirstSampleIsZero) {
+  const StepSeries s{{5.0, 3.0}};
+  EXPECT_DOUBLE_EQ(step_average(s, 1.0, 1.0), 0.0);
+  // 0 on [0,5), 3 on [5,10]: a window straddling the first sample.
+  EXPECT_DOUBLE_EQ(step_average(s, 0.0, 10.0), 1.5);
+}
+
+TEST(StepAverage, AverageOfStepSeries) {
+  EXPECT_DOUBLE_EQ(step_average({{0.0, 0.0}, {5.0, 1.0}}, 0.0, 10.0), 0.5);
+}
+
+TEST(StepAverage, AverageOverSubWindow) {
+  // 2 on [5,10), 4 on [10,15]; samples after the window are ignored.
+  EXPECT_DOUBLE_EQ(
+      step_average({{0.0, 2.0}, {10.0, 4.0}, {20.0, 8.0}}, 5.0, 15.0), 3.0);
+}
+
+TEST(StepAverage, RejectsTimeTravel) {
+  EXPECT_THROW(step_average({{5.0, 1.0}, {4.0, 1.0}}, 0.0, 10.0),
+               PreconditionError);
+  EXPECT_THROW(step_average({{5.0, 1.0}}, 2.0, 1.0), PreconditionError);
 }
 
 TEST(RunningStats, NegativeSamplesTrackMinMax) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
+#include <vector>
+
 #include "schedsim/calibrate.hpp"
 #include "schedsim/simulator.hpp"
 
@@ -115,8 +119,69 @@ TEST(ClusterExperiment, UtilizationTraceRecorded) {
   auto workloads = schedsim::analytic_workloads();
   ClusterExperiment exp(config(PolicyMode::kElastic), workloads);
   auto result = exp.run({job(0, JobClass::kMedium, 3, 0.0)});
-  EXPECT_TRUE(result.trace.has("util"));
-  EXPECT_TRUE(result.trace.has("job.0.replicas"));
+  EXPECT_FALSE(result.utilization.empty());
+  ASSERT_EQ(result.replicas.count(0), 1u);
+  // Replicas go up once the pods are ready and back to zero at completion.
+  const auto& series = result.replicas.at(0);
+  ASSERT_GE(series.size(), 2u);
+  EXPECT_GT(series.front().second, 0);
+  EXPECT_EQ(series.back().second, 0);
+}
+
+/// Fig. 9's raw step series of one small elastic run, pinned exactly. Two
+/// large jobs fill the cluster, a high-priority xlarge arrival shrinks both
+/// (32 -> 24 and 32 -> 8) and later expands (32 -> 56 -> 64), and a small
+/// job's 1 s task timeout kills it while its pods are still pending, so its
+/// only replica step is the 0 at the kill.
+TEST(ClusterExperiment, StepSeriesGoldenValues) {
+  auto workloads = schedsim::analytic_workloads();
+  for (auto& [cls, w] : workloads) w.total_steps = 1000;
+  ClusterExperiment exp(config(PolicyMode::kElastic, 0.0), workloads);
+  SubmittedJob doomed = job(3, JobClass::kSmall, 2, 5.0);
+  doomed.task_timeout_s = 1.0;
+  const auto result = exp.run(
+      {job(0, JobClass::kLarge, 1, 0.0), job(1, JobClass::kLarge, 1, 1.0),
+       job(2, JobClass::kXLarge, 5, 4.0), doomed});
+  ASSERT_EQ(result.jobs.size(), 4u);
+  EXPECT_EQ(result.rescale_count, 4);
+  EXPECT_TRUE(result.jobs[3].timed_out);
+
+  const std::vector<std::pair<double, double>> utilization{
+      {0x1.999999999999ap-3, 0x0p+0},     {0x1p-2, 0x1p-1},
+      {0x1.3333333333333p+0, 0x1p-1},     {0x1.4p+0, 0x1p+0},
+      {0x1.2p+1, 0x1p+0},                 {0x1.ap+1, 0x1p+0},
+      {0x1.0cccccccccccdp+2, 0x1p+0},     {0x1.1p+2, 0x1p+0},
+      {0x1.407e3f9265688p+2, 0x1p+0},     {0x1.4cccccccccccdp+2, 0x1p+0},
+      {0x1.5p+2, 0x1p+0},                 {0x1.807e3f9265688p+2, 0x1.4p-1},
+      {0x1.83b172c5989bbp+2, 0x1p+0},     {0x1.8cccccccccccdp+2, 0x1p+0},
+      {0x1.9p+2, 0x1p+0},                 {0x1.9c7da96e41aefp+2, 0x1p+0},
+      {0x1.ccccccccccccdp+2, 0x1.cp-1},   {0x1.dp+2, 0x1p+0},
+      {0x1.dc7da96e41aefp+2, 0x1.cp-1},   {0x1.dfb0dca174e22p+2, 0x1p+0},
+      {0x1.01d8b962cc4dep+3, 0x1p+0},     {0x1.28p+3, 0x1p+0},
+      {0x1.2fd86e50ba711p+3, 0x1p+0},     {0x1.06cd0082178eep+4, 0x1p+0},
+      {0x1.16cd0082178eep+4, 0x1.4p-1},   {0x1.1799cd4ee45bbp+4, 0x1p+0},
+      {0x1.3799cd4ee45bbp+4, 0x1p+0},     {0x1.007f3c23ccd7cp+5, 0x1p+0},
+      {0x1.087f3c23ccd7cp+5, 0x1.cp-1},   {0x1.08e5a28a333e2p+5, 0x1p+0},
+      {0x1.18e5a28a333e2p+5, 0x1p+0},     {0x1.35598ff851e37p+5, 0x1p+0},
+      {0x1.3d598ff851e37p+5, 0x0p+0}};
+  EXPECT_EQ(result.utilization, utilization);
+
+  const std::map<elastic::JobId, std::vector<std::pair<double, int>>>
+      replicas{{0,
+                {{0x1.2p+1, 32},
+                 {0x1.46ebd835f99b9p+2, 24},
+                 {0x1.0399cd4ee45bbp+4, 0}}},
+               {1,
+                {{0x1.ap+1, 32},
+                 {0x1.06f39fc45ce5p+2, 8},
+                 {0x1.fdcb4514667c5p+4, 0}}},
+               {2,
+                {{0x1.2fd86e50ba711p+3, 32},
+                 {0x1.39999ee7c39c4p+4, 56},
+                 {0x1.19c05f8d4d2fdp+5, 64},
+                 {0x1.33bff65eb849dp+5, 0}}},
+               {3, {{0x1.8p+2, 0}}}};
+  EXPECT_EQ(result.replicas, replicas);
 }
 
 TEST(ClusterExperiment, SingleShot) {

@@ -146,7 +146,6 @@ class InspectHarness final : public ExecHarness {
     e.record.start_time = sim().now();
     e.accrue_from = sim().now();
     schedule_completion(id);
-    record_replicas(id, replicas);
   }
   // Rigid-min single-job runs never rescale.
   void shrink_job(JobId, int) override { FAIL() << "unexpected shrink"; }

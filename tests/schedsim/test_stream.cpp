@@ -296,7 +296,7 @@ TEST(RunStreamMillion, BoundedMemoryMillionJobReplay) {
   EXPECT_EQ(result.stream.jobs_submitted, 1000000);
   EXPECT_LT(result.stream.peak_live_jobs, 200);
   EXPECT_TRUE(result.jobs.empty());
-  EXPECT_TRUE(result.trace.series("util").empty());
+  EXPECT_TRUE(result.utilization.empty());
   const double accounted = result.metrics.jobs_abandoned +
                            result.metrics.jobs_timed_out +
                            result.metrics.jobs_failed;

@@ -5,9 +5,11 @@ Usage: coverage_gate.py BUILD_DIR SOURCE_SUBSTRING MIN_PERCENT
 
 SOURCE_SUBSTRING is matched against reported source *paths* (e.g.
 "src/charm/load_balancer" covers the .cpp and inline code in the .hpp while
-excluding tests/.../test_load_balancer.cpp); .gcda candidates are selected
-by the substring's basename. Aggregates "Lines executed" over the matched
-sources and exits 1 when the percentage is below MIN_PERCENT.
+excluding tests/.../test_load_balancer.cpp). Every .gcda under BUILD_DIR is
+read, and each matched source's lines are merged across all of them: a line
+counts as instrumented if any translation unit instruments it and as covered
+if any executed it. Exits 1 when the aggregate percentage over the matched
+sources is below MIN_PERCENT.
 
 Run a coverage build first:
   cmake -B build-cov -S . -DCMAKE_BUILD_TYPE=Debug -DEHK_COVERAGE=ON
@@ -15,7 +17,7 @@ Run a coverage build first:
   tools/coverage_gate.py build-cov src/charm/load_balancer 98
 """
 
-import re
+import json
 import subprocess
 import sys
 import tempfile
@@ -30,54 +32,53 @@ def main() -> int:
     needle = sys.argv[2]
     min_percent = float(sys.argv[3])
 
-    basename = needle.rsplit("/", 1)[-1]
-    gcda = sorted(p for p in build_dir.rglob("*.gcda") if basename in p.name)
+    gcda = sorted(str(p.resolve()) for p in build_dir.rglob("*.gcda"))
     if not gcda:
-        print(f"error: no .gcda matching '{basename}' under {build_dir} "
+        print(f"error: no .gcda under {build_dir} "
               "(coverage build + test run required)", file=sys.stderr)
         return 2
 
-    # gcov writes .gcov files into the cwd; keep them out of the tree.
-    # Several TUs can report the same source (header inline code appears in
-    # every including TU's stanza, each covering only the lines that TU
-    # instantiated): keep one stanza per source path — the one instrumenting
-    # the most lines (ties: best-covered), i.e. the most complete view. The
-    # library TU's .gcda accumulates runs from every test binary linking it,
-    # so that stanza is the suite-wide union; per-TU slivers can neither
-    # dilute nor double-count the aggregate.
-    best: dict[str, tuple[int, float]] = {}  # source -> (lines, percent)
+    # Header code appears in the stanza of every translation unit that
+    # includes it, each covering only what that unit instantiated and ran,
+    # so the per-line union over all stanzas is what the suite executes.
+    # source -> line number -> executed by any unit
+    lines: dict[str, dict[int, bool]] = {}
+    # gcov writes nothing into the cwd with --stdout; a scratch cwd keeps it
+    # that way should an older gcov ignore the flag.
     with tempfile.TemporaryDirectory() as tmp:
-        for path in gcda:
-            out = subprocess.run(
-                ["gcov", "-n", str(path.resolve())],
-                cwd=tmp, capture_output=True, text=True, check=False).stdout
-            # Stanzas look like:  File 'src/charm/load_balancer.cpp'
-            #                     Lines executed:97.30% of 111
-            for match in re.finditer(
-                    r"File '([^']*)'\nLines executed:([\d.]+)% of (\d+)", out):
-                source, percent, lines = match.groups()
-                if needle not in source:
-                    continue
-                candidate = (int(lines), float(percent))
-                if candidate > best.get(source, (0, 0.0)):
-                    best[source] = candidate
+        out = subprocess.run(
+            ["gcov", "--json-format", "--stdout", *gcda],
+            cwd=tmp, capture_output=True, text=True, check=False).stdout
+    # One JSON document per .gcda, one per line.
+    for doc in out.splitlines():
+        if not doc.strip():
+            continue
+        for stanza in json.loads(doc)["files"]:
+            if needle not in stanza["file"]:
+                continue
+            hits = lines.setdefault(stanza["file"], {})
+            for line in stanza["lines"]:
+                number = line["line_number"]
+                hits[number] = hits.get(number, False) or line["count"] > 0
 
-    if not best:
+    if not lines:
         print(f"error: gcov reported no source matching '{needle}'",
               file=sys.stderr)
         return 2
-    covered = 0.0
+    covered = 0
     total = 0
-    for source in sorted(best):
-        lines, percent = best[source]
-        covered += percent / 100.0 * lines
-        total += lines
-        print(f"{source}: {percent}% of {lines} lines")
+    for source in sorted(lines):
+        hit = sum(lines[source].values())
+        count = len(lines[source])
+        covered += hit
+        total += count
+        print(f"{source}: {100.0 * hit / count:.2f}% of {count} lines")
     aggregate = 100.0 * covered / total
     print(f"aggregate '{needle}' line coverage: {aggregate:.2f}% "
           f"(floor {min_percent:.2f}%)")
     if aggregate + 1e-9 < min_percent:
-        print(f"FAIL: coverage dropped below the committed floor", file=sys.stderr)
+        print("FAIL: coverage dropped below the committed floor",
+              file=sys.stderr)
         return 1
     print("OK")
     return 0
