@@ -4,6 +4,8 @@
 //   Fig 6b: timestamp at which every 10th iteration completes (the rescale
 //           gaps appear as jumps; the slope change shows the speed change).
 
+#include <string>
+
 #include "apps/calibration.hpp"
 #include "apps/jacobi2d.hpp"
 #include "bench/lib/registry.hpp"
@@ -24,6 +26,15 @@ void run(bench::Reporter& rep, const Config& cfg) {
   if (sample <= 0) {
     throw ConfigError("sample must be > 0, got '" + cfg.get_or("sample", "") +
                       "'");
+  }
+  // The note's window_at(shrink_at - sample) reads back to iteration
+  // shrink_at - 2*sample, and a rescale hook at or past `iters` never fires.
+  if (2LL * sample > shrink_at || shrink_at >= expand_at || expand_at >= iters) {
+    throw ConfigError("need 2*sample <= shrink_at < expand_at < iters, got sample=" +
+                      std::to_string(sample) + " shrink_at=" +
+                      std::to_string(shrink_at) + " expand_at=" +
+                      std::to_string(expand_at) + " iters=" +
+                      std::to_string(iters));
   }
 
   charm::RuntimeConfig rc;

@@ -1,9 +1,11 @@
 #pragma once
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "charm/types.hpp"
+#include "common/error.hpp"
 
 namespace ehpc::charm {
 
@@ -16,16 +18,26 @@ struct ElementRecord {
   double modeled_bytes = 0.0;       ///< bytes charged to the timing model
 };
 
-/// An in-memory checkpoint, standing in for the Linux shared-memory segment
-/// (/dev/shm) that Charm++ uses so rescaling never touches disk (paper §2.2).
+/// A checkpoint of every chare-array element. Rescales and disk recovery
+/// share one checkpoint path and differ only in bandwidth: a rescale keeps
+/// it in the Linux shared-memory segment (/dev/shm) that Charm++ uses so
+/// rescaling never touches disk (paper §2.2); fault tolerance keeps it on
+/// disk so it survives node failures (paper §3.2.2).
 ///
 /// The payloads are real serialized data; `modeled_bytes` lets an application
 /// running a scaled-down grid charge the full-size footprint to the timing
 /// model (see apps/ docs).
 class MemCheckpoint {
  public:
-  void add(ElementRecord record);
-  void clear();
+  void add(ElementRecord record) {
+    EHPC_EXPECTS(record.pe >= 0);
+    total_modeled_bytes_ += record.modeled_bytes;
+    records_.push_back(std::move(record));
+  }
+  void clear() {
+    records_.clear();
+    total_modeled_bytes_ = 0.0;
+  }
 
   const std::vector<ElementRecord>& records() const { return records_; }
   bool empty() const { return records_.empty(); }
@@ -34,25 +46,9 @@ class MemCheckpoint {
   /// Sum of modeled bytes across all records.
   double total_modeled_bytes() const { return total_modeled_bytes_; }
 
-  /// Sum of real payload bytes across all records.
-  std::size_t total_real_bytes() const { return total_real_bytes_; }
-
-  /// Modeled bytes per PE under the mapping stored in the records
-  /// (index = PeId; sized to exactly `num_pes`). Sizing by the caller's PE
-  /// count — not the max PE observed in records — keeps idle PEs in the
-  /// slowest-PE stage computation and makes an empty checkpoint yield
-  /// `num_pes` zero entries rather than an empty vector. Every record's PE
-  /// must be < `num_pes`.
-  std::vector<double> modeled_bytes_per_pe(int num_pes) const;
-
-  /// Element counts per PE under the stored mapping; same sizing contract
-  /// as `modeled_bytes_per_pe`.
-  std::vector<std::size_t> records_per_pe(int num_pes) const;
-
  private:
   std::vector<ElementRecord> records_;
   double total_modeled_bytes_ = 0.0;
-  std::size_t total_real_bytes_ = 0;
 };
 
 }  // namespace ehpc::charm

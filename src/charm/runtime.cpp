@@ -461,7 +461,8 @@ double Runtime::stage_load_balance(const std::vector<PeId>& available_pes,
   return stage;
 }
 
-double Runtime::stage_checkpoint(MemCheckpoint& out) {
+double Runtime::write_checkpoint(MemCheckpoint& out, double bandwidth_Bps) {
+  out.clear();
   for (ArrayId a = 0; a < static_cast<ArrayId>(arrays_.size()); ++a) {
     auto& arr = arrays_[static_cast<std::size_t>(a)];
     for (ElementId e = 0; e < static_cast<ElementId>(arr.elements.size()); ++e) {
@@ -477,22 +478,47 @@ double Runtime::stage_checkpoint(MemCheckpoint& out) {
       out.add(std::move(rec));
     }
   }
-  // Each PE writes its objects to the local shared-memory segment in
-  // parallel; the stage lasts as long as the slowest PE.
+  return checkpoint_io_s(out, bandwidth_Bps);
+}
+
+void Runtime::read_checkpoint(const MemCheckpoint& ckpt) {
+  for (const auto& rec : ckpt.records()) {
+    auto& arr = array_state(rec.array);
+    auto elem = arr.factory(rec.elem);
+    Pup unpacker = Pup::unpacker(rec.payload);
+    elem->pup(unpacker);
+    arr.elements[static_cast<std::size_t>(rec.elem)] = std::move(elem);
+  }
+}
+
+double Runtime::checkpoint_io_s(const MemCheckpoint& ckpt,
+                                double bandwidth_Bps) const {
+  // Every PE moves its own elements' bytes in parallel; the stage lasts as
+  // long as the slowest PE.
+  std::vector<double> bytes(static_cast<std::size_t>(num_pes_), 0.0);
+  std::vector<std::size_t> counts(static_cast<std::size_t>(num_pes_), 0);
+  for (const auto& rec : ckpt.records()) {
+    const PeId pe = loc_.pe_of(rec.array, rec.elem);
+    EHPC_ENSURES(pe < num_pes_);
+    bytes[static_cast<std::size_t>(pe)] += rec.modeled_bytes;
+    counts[static_cast<std::size_t>(pe)] += 1;
+  }
   double stage = 0.0;
-  const auto bytes = out.modeled_bytes_per_pe(num_pes_);
-  const auto counts = out.records_per_pe(num_pes_);
   for (std::size_t pe = 0; pe < bytes.size(); ++pe) {
-    const double t = bytes[pe] / config_.shm_bandwidth_Bps +
+    const double t = bytes[pe] / bandwidth_Bps +
                      static_cast<double>(counts[pe]) * config_.checkpoint_per_obj_s;
     stage = std::max(stage, t);
   }
   return stage;
 }
 
-void Runtime::reset_pes(int new_pes) {
-  // Queued-but-undelivered envelopes die with their PE queues; return them
-  // to the pool so they are not leaked until the next reset.
+double Runtime::restart(int new_pes) {
+  // Tear down the old processes: element objects die with them (their state
+  // lives in the checkpoint). Queued-but-undelivered envelopes die with
+  // their PE queues and return to the pool.
+  for (auto& arr : arrays_) {
+    for (auto& chare : arr.elements) chare.reset();
+  }
   for (auto& pe : pes_) {
     for (std::size_t i = pe.head; i < pe.queue.size(); ++i) {
       release_env(pe.queue[i]);
@@ -500,48 +526,12 @@ void Runtime::reset_pes(int new_pes) {
   }
   pes_.assign(static_cast<std::size_t>(new_pes), PeState{});
   ++pe_epoch_;  // retires in-flight completion events of the old PE set
-}
-
-double Runtime::stage_restart(int new_pes) {
-  // Tear down the old processes: element objects die with them (their state
-  // lives in the checkpoint), queues are rebuilt empty.
-  for (auto& arr : arrays_) {
-    for (auto& chare : arr.elements) chare.reset();
-  }
-  reset_pes(new_pes);
   num_pes_ = new_pes;
   rebuild_node_table();
   std::fill(node_egress_busy_.begin(), node_egress_busy_.end(), 0.0);
   // mpirun startup cost grows with the number of ranks (paper Fig. 5).
   return config_.startup_alpha_s +
          config_.startup_per_pe_s * static_cast<double>(new_pes);
-}
-
-double Runtime::stage_restore(const MemCheckpoint& ckpt) {
-  for (const auto& rec : ckpt.records()) {
-    auto& arr = array_state(rec.array);
-    auto elem = arr.factory(rec.elem);
-    Pup unpacker = Pup::unpacker(rec.payload);
-    elem->pup(unpacker);
-    arr.elements[static_cast<std::size_t>(rec.elem)] = std::move(elem);
-    EHPC_ENSURES(loc_.pe_of(rec.array, rec.elem) < num_pes_);
-  }
-  double stage = 0.0;
-  // Reads happen with the *current* mapping (post-LB for shrink; the old
-  // mapping for expand, where LB follows the restore).
-  std::vector<double> bytes(static_cast<std::size_t>(num_pes_), 0.0);
-  std::vector<std::size_t> counts(static_cast<std::size_t>(num_pes_), 0);
-  for (const auto& rec : ckpt.records()) {
-    const PeId pe = loc_.pe_of(rec.array, rec.elem);
-    bytes[static_cast<std::size_t>(pe)] += rec.modeled_bytes;
-    counts[static_cast<std::size_t>(pe)] += 1;
-  }
-  for (std::size_t pe = 0; pe < bytes.size(); ++pe) {
-    const double t = bytes[pe] / config_.shm_bandwidth_Bps +
-                     static_cast<double>(counts[pe]) * config_.checkpoint_per_obj_s;
-    stage = std::max(stage, t);
-  }
-  return stage;
 }
 
 void Runtime::execute_rescale(CcsCommand cmd) {
@@ -555,22 +545,24 @@ void Runtime::execute_rescale(CcsCommand cmd) {
   timing.new_pes = new_pes;
   timing.direction = new_pes < old_pes ? RescaleDirection::kShrink
                                        : RescaleDirection::kExpand;
+  const bool shrink = timing.direction == RescaleDirection::kShrink;
 
   std::vector<PeId> target_set(static_cast<std::size_t>(new_pes));
   std::iota(target_set.begin(), target_set.end(), 0);
 
+  // Shrink evacuates the dying PEs first, then checkpoints, restarts and
+  // restores; expand restarts with more PEs first, then balances onto them.
+  // The checkpoint lives in shared memory, so both of its stages move bytes
+  // at shared-memory bandwidth, under the mapping of the moment.
   MemCheckpoint ckpt;
-  if (timing.direction == RescaleDirection::kShrink) {
-    // Shrink: evacuate dying PEs first, then checkpoint/restart/restore.
+  if (shrink) {
     timing.load_balance_s = stage_load_balance(target_set, &timing.migrated_objects);
-    timing.checkpoint_s = stage_checkpoint(ckpt);
-    timing.restart_s = stage_restart(new_pes);
-    timing.restore_s = stage_restore(ckpt);
-  } else {
-    // Expand: restart with more PEs first, then balance onto them.
-    timing.checkpoint_s = stage_checkpoint(ckpt);
-    timing.restart_s = stage_restart(new_pes);
-    timing.restore_s = stage_restore(ckpt);
+  }
+  timing.checkpoint_s = write_checkpoint(ckpt, config_.shm_bandwidth_Bps);
+  timing.restart_s = restart(new_pes);
+  read_checkpoint(ckpt);
+  timing.restore_s = checkpoint_io_s(ckpt, config_.shm_bandwidth_Bps);
+  if (!shrink) {
     timing.load_balance_s = stage_load_balance(target_set, &timing.migrated_objects);
   }
   timing.checkpoint_modeled_bytes = ckpt.total_modeled_bytes();
@@ -613,21 +605,7 @@ void Runtime::disk_checkpoint_then(ExternalEvent continuation) {
   EHPC_EXPECTS(!in_handler_);
   EHPC_EXPECTS(continuation != nullptr);
   assert_quiescent();
-  disk_checkpoint_.clear();
-  for (ArrayId a = 0; a < static_cast<ArrayId>(arrays_.size()); ++a) {
-    auto& arr = arrays_[static_cast<std::size_t>(a)];
-    for (ElementId e = 0; e < static_cast<ElementId>(arr.elements.size()); ++e) {
-      ElementRecord rec;
-      rec.array = a;
-      rec.elem = e;
-      rec.pe = loc_.pe_of(a, e);
-      Pup packer = Pup::packer(rec.payload);
-      arr.elements[static_cast<std::size_t>(e)]->pup(packer);
-      rec.modeled_bytes =
-          static_cast<double>(rec.payload.size()) * arr.bytes_scale;
-      disk_checkpoint_.add(std::move(rec));
-    }
-  }
+  const double stage = write_checkpoint(disk_checkpoint_, config_.disk_bandwidth_Bps);
   disk_app_state_.clear();
   if (app_state_pup_) {
     Pup packer = Pup::packer(disk_app_state_);
@@ -635,16 +613,6 @@ void Runtime::disk_checkpoint_then(ExternalEvent continuation) {
   }
   disk_checkpoint_pes_ = num_pes_;
   ++disk_checkpoints_taken_;
-  // PEs stream their objects to disk in parallel; slowest PE bounds the
-  // stage, like the shared-memory checkpoint but at disk bandwidth.
-  double stage = 0.0;
-  const auto bytes = disk_checkpoint_.modeled_bytes_per_pe(num_pes_);
-  const auto counts = disk_checkpoint_.records_per_pe(num_pes_);
-  for (std::size_t pe = 0; pe < bytes.size(); ++pe) {
-    stage = std::max(stage, bytes[pe] / config_.disk_bandwidth_Bps +
-                                static_cast<double>(counts[pe]) *
-                                    config_.checkpoint_per_obj_s);
-  }
   EHPC_INFO("charm", "disk checkpoint: %.1f MB in %.3fs",
             disk_checkpoint_.total_modeled_bytes() / 1.0e6, stage);
   sim_.schedule_after(stage, [this, fn = std::move(continuation)] { fn(*this); });
@@ -683,31 +651,24 @@ void Runtime::recover_from_disk(int surviving_pes,
   EHPC_EXPECTS(has_disk_checkpoint());
   EHPC_EXPECTS(surviving_pes > 0);
   ++recoveries_;
-  // Volatile state dies with the node; queues are rebuilt empty.
+  // Volatile state dies with the node: reduction rounds, measured loads and
+  // measured traffic. (A rescale keeps the loads: its expand LB reads them.)
   for (auto& arr : arrays_) {
-    for (auto& chare : arr.elements) chare.reset();
     arr.reduction = ReductionState{};
     std::fill(arr.load_s.begin(), arr.load_s.end(), 0.0);
   }
-  comm_bytes_.clear();  // measured traffic died with the processes
-  reset_pes(surviving_pes);
-  num_pes_ = surviving_pes;
-  rebuild_node_table();
-  std::fill(node_egress_busy_.begin(), node_egress_busy_.end(), 0.0);
+  comm_bytes_.clear();
+  restart(surviving_pes);
+  read_checkpoint(disk_checkpoint_);
 
-  // Restore elements. The checkpoint-time placement is only a *proposal*:
-  // a checkpoint-time PE that no longer exists (node loss, or recovery onto
-  // fewer PEs than the checkpoint was taken on) must not leak into the
-  // location manager, so the placement goes through the LB seam, which
-  // evicts illegal placements and keeps legal ones unless rebalancing wins.
+  // The checkpoint-time placement is only a *proposal*: a checkpoint-time
+  // PE that no longer exists (node loss, or recovery onto fewer PEs than the
+  // checkpoint was taken on) must not leak into the location manager, so
+  // the placement goes through the LB seam, which evicts illegal placements
+  // and keeps legal ones unless rebalancing wins.
   std::vector<LbObject> objects;
   objects.reserve(disk_checkpoint_.size());
   for (const auto& rec : disk_checkpoint_.records()) {
-    auto& arr = array_state(rec.array);
-    auto elem = arr.factory(rec.elem);
-    Pup unpacker = Pup::unpacker(rec.payload);
-    elem->pup(unpacker);
-    arr.elements[static_cast<std::size_t>(rec.elem)] = std::move(elem);
     LbObject obj;
     obj.array = rec.array;
     obj.elem = rec.elem;
@@ -735,21 +696,12 @@ void Runtime::recover_from_disk(int surviving_pes,
     app_state_pup_(unpacker);
   }
 
-  // Each surviving PE reads its share of the checkpoint from disk; the
-  // slowest PE bounds the stage, computed over the recovery placement.
-  double read_stage = 0.0;
-  std::vector<double> bytes(static_cast<std::size_t>(num_pes_), 0.0);
-  std::vector<std::size_t> counts(static_cast<std::size_t>(num_pes_), 0);
-  for (const auto& rec : disk_checkpoint_.records()) {
-    const PeId pe = loc_.pe_of(rec.array, rec.elem);
-    bytes[static_cast<std::size_t>(pe)] += rec.modeled_bytes;
-    counts[static_cast<std::size_t>(pe)] += 1;
-  }
-  for (std::size_t pe = 0; pe < bytes.size(); ++pe) {
-    read_stage = std::max(read_stage, bytes[pe] / config_.disk_bandwidth_Bps +
-                                          static_cast<double>(counts[pe]) *
-                                              config_.checkpoint_per_obj_s);
-  }
+  // Each surviving PE reads its share of the checkpoint from disk under the
+  // recovery placement. The startup cost is summed here term by term, in
+  // the order detection + startup + read, rather than taken pre-rounded
+  // from restart(): the recovery times stay bit-identical to that sum.
+  const double read_stage =
+      checkpoint_io_s(disk_checkpoint_, config_.disk_bandwidth_Bps);
   const double downtime = config_.failure_detection_s +
                           config_.startup_alpha_s +
                           config_.startup_per_pe_s * num_pes_ + read_stage;

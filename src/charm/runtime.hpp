@@ -297,8 +297,6 @@ class Runtime {
   EnvIndex alloc_env(ArrayId array, ElementId elem, std::size_t bytes,
                      Handler&& fn);
   void release_env(EnvIndex idx);
-  /// Drop all queued (undelivered) envelopes and rebuild `new_pes` empty PEs.
-  void reset_pes(int new_pes);
   void rebuild_node_table();
   /// Shared recovery path of both fail_and_recover overloads: restart on
   /// `surviving_pes` PEs, proposing `remap(checkpoint_pe)` as each
@@ -315,12 +313,23 @@ class Runtime {
   /// at virtual time `at` (a contended fabric stretches it).
   double tree_latency(int pes, sim::Time at) const;
 
-  // Rescale stages. Each returns the stage's virtual duration.
+  /// LB stage of a rescale or an AtSync step; returns its virtual duration.
   double stage_load_balance(const std::vector<PeId>& available_pes,
                             int* migrated_out);
-  double stage_checkpoint(MemCheckpoint& out);
-  double stage_restart(int new_pes);
-  double stage_restore(const MemCheckpoint& ckpt);
+
+  // The one checkpoint path, shared by rescales (shared-memory bandwidth)
+  // and fault tolerance (disk bandwidth).
+  /// Replace `out` with every element packed at its current PE; returns the
+  /// write time at `bandwidth_Bps`.
+  double write_checkpoint(MemCheckpoint& out, double bandwidth_Bps);
+  /// Rebuild every element of `ckpt` through its array's factory.
+  void read_checkpoint(const MemCheckpoint& ckpt);
+  /// Time for the slowest PE to move its elements' share of `ckpt` at
+  /// `bandwidth_Bps`, under the current mapping.
+  double checkpoint_io_s(const MemCheckpoint& ckpt, double bandwidth_Bps) const;
+  /// Tear the processes down (elements, PE queues, node table, NIC egress)
+  /// and start `new_pes` empty PEs; returns the startup cost.
+  double restart(int new_pes);
   void execute_rescale(CcsCommand cmd);
   void assert_quiescent() const;
 

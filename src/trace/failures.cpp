@@ -1,41 +1,12 @@
 #include "trace/failures.hpp"
 
-#include <cstdlib>
 #include <fstream>
-#include <sstream>
 #include <utility>
 
 #include "common/error.hpp"
+#include "trace/csv.hpp"
 
 namespace ehpc::trace {
-
-namespace {
-
-/// Strict field parsers (the CsvTraceSource discipline): the whole field
-/// must be consumed, so "12x" or an empty field is an error.
-long parse_long(const std::string& field, const std::string& what,
-                const std::string& path, long line) {
-  char* end = nullptr;
-  const long value = std::strtol(field.c_str(), &end, 10);
-  if (field.empty() || end != field.c_str() + field.size()) {
-    throw PreconditionError(path + ":" + std::to_string(line) + ": bad " +
-                            what + " '" + field + "'");
-  }
-  return value;
-}
-
-double parse_double(const std::string& field, const std::string& what,
-                    const std::string& path, long line) {
-  char* end = nullptr;
-  const double value = std::strtod(field.c_str(), &end);
-  if (field.empty() || end != field.c_str() + field.size()) {
-    throw PreconditionError(path + ":" + std::to_string(line) + ": bad " +
-                            what + " '" + field + "'");
-  }
-  return value;
-}
-
-}  // namespace
 
 CsvFailureTraceSource::CsvFailureTraceSource(const std::string& path) {
   std::ifstream in(path);
@@ -47,10 +18,7 @@ CsvFailureTraceSource::CsvFailureTraceSource(const std::string& path) {
     ++line_number;
     if (line.empty() || line[0] == '#') continue;
 
-    std::istringstream ls(line);
-    std::vector<std::string> fields;
-    std::string field;
-    while (std::getline(ls, field, ',')) fields.push_back(field);
+    const std::vector<std::string> fields = csv::split(line);
     if (fields.size() < 2 || fields.size() > 3) {
       throw PreconditionError(
           path + ":" + std::to_string(line_number) + ": expected 2-3 fields "
@@ -59,7 +27,8 @@ CsvFailureTraceSource::CsvFailureTraceSource(const std::string& path) {
     }
 
     FailureEvent event;
-    event.time_s = parse_double(fields[0], "event time", path, line_number);
+    event.time_s =
+        csv::parse_double(fields[0], "event time", path, line_number);
     if (event.time_s < 0.0) {
       throw PreconditionError(path + ":" + std::to_string(line_number) +
                               ": negative event time '" + fields[0] + "'");
@@ -81,7 +50,7 @@ CsvFailureTraceSource::CsvFailureTraceSource(const std::string& path) {
                                 ": kind=domain requires a domain field");
       }
       event.domain = static_cast<int>(
-          parse_long(fields[2], "domain index", path, line_number));
+          csv::parse_long(fields[2], "domain index", path, line_number));
       if (event.domain < 0) {
         throw PreconditionError(path + ":" + std::to_string(line_number) +
                                 ": negative domain index '" + fields[2] + "'");

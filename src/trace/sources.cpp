@@ -1,41 +1,12 @@
 #include "trace/sources.hpp"
 
-#include <cstdlib>
-#include <sstream>
 #include <utility>
 
 #include "common/error.hpp"
 #include "elastic/workload.hpp"
+#include "trace/csv.hpp"
 
 namespace ehpc::trace {
-
-namespace {
-
-/// Strict field parsers: the whole field must be consumed, so "12x" or an
-/// empty field is an error instead of atoi's silent 0/12.
-long parse_long(const std::string& field, const std::string& what,
-                const std::string& path, long line) {
-  char* end = nullptr;
-  const long value = std::strtol(field.c_str(), &end, 10);
-  if (field.empty() || end != field.c_str() + field.size()) {
-    throw PreconditionError(path + ":" + std::to_string(line) + ": bad " +
-                            what + " '" + field + "'");
-  }
-  return value;
-}
-
-double parse_double(const std::string& field, const std::string& what,
-                    const std::string& path, long line) {
-  char* end = nullptr;
-  const double value = std::strtod(field.c_str(), &end);
-  if (field.empty() || end != field.c_str() + field.size()) {
-    throw PreconditionError(path + ":" + std::to_string(line) + ": bad " +
-                            what + " '" + field + "'");
-  }
-  return value;
-}
-
-}  // namespace
 
 std::uint64_t trace_hash(std::uint64_t seed, std::uint64_t index,
                          std::uint64_t lane) {
@@ -62,10 +33,7 @@ std::optional<schedsim::SubmittedJob> CsvTraceSource::next() {
     ++line_number_;
     if (line.empty() || line[0] == '#') continue;
 
-    std::istringstream ls(line);
-    std::vector<std::string> fields;
-    std::string field;
-    while (std::getline(ls, field, ',')) fields.push_back(field);
+    const std::vector<std::string> fields = csv::split(line);
     if (fields.size() < 4 || fields.size() > 7) {
       throw PreconditionError(
           path_ + ":" + std::to_string(line_number_) + ": expected 4-7 fields "
@@ -75,7 +43,7 @@ std::optional<schedsim::SubmittedJob> CsvTraceSource::next() {
     }
 
     schedsim::SubmittedJob job;
-    const long id = parse_long(fields[0], "job id", path_, line_number_);
+    const long id = csv::parse_long(fields[0], "job id", path_, line_number_);
     elastic::JobClass cls;
     try {
       cls = elastic::job_class_from_string(fields[1]);
@@ -83,24 +51,25 @@ std::optional<schedsim::SubmittedJob> CsvTraceSource::next() {
       throw PreconditionError(path_ + ":" + std::to_string(line_number_) +
                               ": " + err.what());
     }
-    const long priority = parse_long(fields[2], "priority", path_, line_number_);
+    const long priority =
+        csv::parse_long(fields[2], "priority", path_, line_number_);
     job.spec = elastic::spec_for_class(cls, static_cast<elastic::JobId>(id),
                                        static_cast<int>(priority));
     job.job_class = cls;
     job.submit_time =
-        parse_double(fields[3], "submit time", path_, line_number_);
+        csv::parse_double(fields[3], "submit time", path_, line_number_);
     job.queue_timeout_s =
         fields.size() > 4
-            ? parse_double(fields[4], "queue timeout", path_, line_number_)
+            ? csv::parse_double(fields[4], "queue timeout", path_, line_number_)
             : defaults_.queue_timeout_s;
     job.task_timeout_s =
         fields.size() > 5
-            ? parse_double(fields[5], "task timeout", path_, line_number_)
+            ? csv::parse_double(fields[5], "task timeout", path_, line_number_)
             : defaults_.task_timeout_s;
     job.max_failed_nodes =
         fields.size() > 6
-            ? static_cast<int>(parse_long(fields[6], "max failed nodes", path_,
-                                          line_number_))
+            ? static_cast<int>(csv::parse_long(fields[6], "max failed nodes",
+                                               path_, line_number_))
             : defaults_.max_failed_nodes;
 
     if (any_yielded_ && job.submit_time < last_submit_time_) {

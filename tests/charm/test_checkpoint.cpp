@@ -17,68 +17,21 @@ ElementRecord record(PeId pe, double modeled_bytes, std::size_t payload = 8) {
   return rec;
 }
 
-TEST(MemCheckpoint, PerPeVectorsSizedByRuntimePeCountNotMaxRecordPe) {
-  // Records only on PEs 0 and 1 of a 4-PE runtime: the per-PE vectors used
-  // to be sized by max observed PE + 1 (here 2), so the idle PEs 2 and 3
-  // vanished from the slowest-PE stage computation. They must appear as
-  // explicit zero entries.
-  MemCheckpoint ckpt;
-  ckpt.add(record(0, 100.0));
-  ckpt.add(record(1, 50.0));
-  ckpt.add(record(1, 25.0));
-
-  const auto bytes = ckpt.modeled_bytes_per_pe(4);
-  ASSERT_EQ(bytes.size(), 4u);
-  EXPECT_DOUBLE_EQ(bytes[0], 100.0);
-  EXPECT_DOUBLE_EQ(bytes[1], 75.0);
-  EXPECT_DOUBLE_EQ(bytes[2], 0.0);
-  EXPECT_DOUBLE_EQ(bytes[3], 0.0);
-
-  const auto counts = ckpt.records_per_pe(4);
-  ASSERT_EQ(counts.size(), 4u);
-  EXPECT_EQ(counts[0], 1u);
-  EXPECT_EQ(counts[1], 2u);
-  EXPECT_EQ(counts[2], 0u);
-  EXPECT_EQ(counts[3], 0u);
-}
-
-TEST(MemCheckpoint, EmptyCheckpointYieldsAllZeroEntries) {
-  // An empty checkpoint used to produce empty vectors (a zero-cost stage
-  // with no per-PE entries at all); now it yields num_pes explicit zeros.
-  MemCheckpoint ckpt;
-  EXPECT_TRUE(ckpt.empty());
-  EXPECT_EQ(ckpt.modeled_bytes_per_pe(3).size(), 3u);
-  EXPECT_EQ(ckpt.records_per_pe(3).size(), 3u);
-  for (double b : ckpt.modeled_bytes_per_pe(3)) EXPECT_DOUBLE_EQ(b, 0.0);
-}
-
-TEST(MemCheckpoint, RecordOnNonexistentPeIsAPreconditionViolation) {
-  // A record placed beyond the runtime PE count means the caller passed a
-  // stale PE count (or the checkpoint holds a stale placement) — exactly
-  // the recovery bug this guard exists to catch.
-  MemCheckpoint ckpt;
-  ckpt.add(record(5, 10.0));
-  EXPECT_THROW(ckpt.modeled_bytes_per_pe(4), PreconditionError);
-  EXPECT_THROW(ckpt.records_per_pe(4), PreconditionError);
-  EXPECT_NO_THROW(ckpt.modeled_bytes_per_pe(6));
-}
-
-TEST(MemCheckpoint, NonPositivePeCountThrows) {
-  MemCheckpoint ckpt;
-  EXPECT_THROW(ckpt.modeled_bytes_per_pe(0), PreconditionError);
-  EXPECT_THROW(ckpt.records_per_pe(-1), PreconditionError);
-}
-
 TEST(MemCheckpoint, TotalsTrackAddAndClear) {
   MemCheckpoint ckpt;
   ckpt.add(record(0, 100.0, 16));
   ckpt.add(record(1, 50.0, 8));
+  EXPECT_EQ(ckpt.size(), 2u);
   EXPECT_DOUBLE_EQ(ckpt.total_modeled_bytes(), 150.0);
-  EXPECT_EQ(ckpt.total_real_bytes(), 24u);
   ckpt.clear();
   EXPECT_TRUE(ckpt.empty());
   EXPECT_DOUBLE_EQ(ckpt.total_modeled_bytes(), 0.0);
-  EXPECT_EQ(ckpt.total_real_bytes(), 0u);
+}
+
+TEST(MemCheckpoint, RecordOnNegativePeIsAPreconditionViolation) {
+  MemCheckpoint ckpt;
+  EXPECT_THROW(ckpt.add(record(-1, 10.0)), PreconditionError);
+  EXPECT_TRUE(ckpt.empty());
 }
 
 }  // namespace

@@ -351,9 +351,20 @@ TEST(FaultTolerance, CorrelatedLossValidatesTheFailedSet) {
 
 TEST(FaultTolerance, DiskSlowerThanSharedMemory) {
   // The disk checkpoint of the same state must cost more virtual time than
-  // the in-memory rescale checkpoint stage.
-  RuntimeConfig cfg = pes(4);
-  EXPECT_LT(cfg.disk_bandwidth_Bps, cfg.shm_bandwidth_Bps);
+  // the in-memory rescale checkpoint stage. An expand checkpoints before it
+  // balances, so it writes the same elements from the same PEs as the disk
+  // checkpoint taken just before it.
+  Runtime rt(pes(4));
+  apps::Jacobi2D app(rt, small_jacobi(4));
+  double disk_stage = -1.0;
+  rt.disk_checkpoint_then([&disk_stage](Runtime& r) { disk_stage = r.now(); });
+  rt.run();
+  rt.ccs().request_rescale(8);
+  ASSERT_TRUE(rt.poll_rescale());
+  ASSERT_EQ(rt.rescale_history().size(), 1u);
+  const double shm_stage = rt.rescale_history().front().checkpoint_s;
+  EXPECT_GT(shm_stage, 0.0);
+  EXPECT_GT(disk_stage, shm_stage);
 }
 
 }  // namespace

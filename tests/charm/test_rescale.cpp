@@ -124,6 +124,24 @@ TEST(Rescale, RescaleToSameSizeIsNoOpWithAck) {
   EXPECT_TRUE(rt.rescale_history().empty());
 }
 
+TEST(Rescale, EmptyRuntimeCheckpointsInZeroTime) {
+  // With no elements the checkpoint is empty: every PE, idle or not, moves
+  // zero bytes, so checkpoint and restore cost nothing and only the restart
+  // is charged.
+  Runtime rt(pes(4));
+  rt.ccs().request_rescale(2);
+  ASSERT_TRUE(rt.poll_rescale());
+  ASSERT_EQ(rt.rescale_history().size(), 1u);
+  const RescaleTiming& t = rt.rescale_history().front();
+  EXPECT_EQ(t.load_balance_s, 0.0);
+  EXPECT_EQ(t.checkpoint_s, 0.0);
+  EXPECT_EQ(t.restore_s, 0.0);
+  EXPECT_EQ(t.checkpoint_modeled_bytes, 0.0);
+  EXPECT_EQ(t.restart_s,
+            rt.config().startup_alpha_s + rt.config().startup_per_pe_s * 2.0);
+  EXPECT_EQ(rt.num_pes(), 2);
+}
+
 TEST(Rescale, IterationGapAppearsInTimeline) {
   Runtime rt(pes(8));
   apps::Jacobi2D app(rt, small_jacobi(12));
