@@ -41,7 +41,11 @@ void IterationDriver::on_reduction(double value) {
   if (auto it = hooks_.find(iteration_); it != hooks_.end()) {
     auto fn = std::move(it->second);
     hooks_.erase(it);
+    const int recoveries = rt_.recoveries();
     fn(rt_);
+    // A failure injected by the hook rolled the app back; the recovery's
+    // restart handler resumes it once the downtime has passed.
+    if (rt_.recoveries() != recoveries) return;
   }
   if (iteration_ >= max_iterations_) {
     finished_ = true;

@@ -594,7 +594,12 @@ void Runtime::load_balance_then(ExternalEvent continuation) {
   std::iota(all.begin(), all.end(), 0);
   int migrated = 0;
   const double cost = stage_load_balance(all, &migrated);
-  sim_.schedule_after(cost, [this, fn = std::move(continuation)] { fn(*this); });
+  // Epoch guard: a failure during the step supersedes the continuation;
+  // the recovery's restart handler resumes the application instead.
+  sim_.schedule_after(cost, [this, fn = std::move(continuation), epoch = pe_epoch_] {
+    if (epoch != pe_epoch_) return;
+    fn(*this);
+  });
 }
 
 void Runtime::set_app_state_pup(std::function<void(Pup&)> fn) {
@@ -615,7 +620,12 @@ void Runtime::disk_checkpoint_then(ExternalEvent continuation) {
   ++disk_checkpoints_taken_;
   EHPC_INFO("charm", "disk checkpoint: %.1f MB in %.3fs",
             disk_checkpoint_.total_modeled_bytes() / 1.0e6, stage);
-  sim_.schedule_after(stage, [this, fn = std::move(continuation)] { fn(*this); });
+  // Epoch guard: a failure inside the write window supersedes the
+  // continuation; the recovery's restart handler resumes the application.
+  sim_.schedule_after(stage, [this, fn = std::move(continuation), epoch = pe_epoch_] {
+    if (epoch != pe_epoch_) return;
+    fn(*this);
+  });
 }
 
 void Runtime::fail_and_recover() { fail_and_recover(disk_checkpoint_pes_); }

@@ -168,7 +168,8 @@ class Runtime {
 
   /// Explicit load balancing without a rescale ("AtSync"). Runs the
   /// configured strategy over all arrays, applies the migration, charges its
-  /// virtual cost, then invokes `continuation`.
+  /// virtual cost, then invokes `continuation` — unless a failure recovery
+  /// intervened, in which case the restart handler resumes the app instead.
   void load_balance_then(ExternalEvent continuation);
 
   // ---- fault tolerance (paper §3.2.2) ----
@@ -178,8 +179,9 @@ class Runtime {
   void set_app_state_pup(std::function<void(Pup&)> fn);
 
   /// Write a full checkpoint to (modeled) disk at a quiescent point, then
-  /// run `continuation`. Unlike the in-memory rescale checkpoint, this one
-  /// survives node failures.
+  /// run `continuation` — unless a failure recovery intervened, in which
+  /// case the restart handler resumes the app instead. Unlike the in-memory
+  /// rescale checkpoint, this one survives node failures.
   void disk_checkpoint_then(ExternalEvent continuation);
 
   /// Simulate a node failure: all volatile state (elements, queues,

@@ -1,61 +1,16 @@
 #include "common/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/error.hpp"
 
 namespace ehpc {
-
-void RunningStats::add(double x) {
-  ++n_;
-  if (n_ == 1) {
-    mean_ = min_ = max_ = x;
-    m2_ = 0.0;
-    return;
-  }
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-  min_ = std::min(min_, x);
-  max_ = std::max(max_, x);
-}
-
-void RunningStats::merge(const RunningStats& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  n_ += other.n_;
-}
-
-double RunningStats::variance() const {
-  if (n_ < 2) return 0.0;
-  return m2_ / static_cast<double>(n_ - 1);
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
 
 void WeightedMean::add(double value, double weight) {
   EHPC_EXPECTS(weight >= 0.0);
   weighted_sum_ += value * weight;
   weight_sum_ += weight;
   ++n_;
-}
-
-void WeightedMean::merge(const WeightedMean& other) {
-  weighted_sum_ += other.weighted_sum_;
-  weight_sum_ += other.weight_sum_;
-  n_ += other.n_;
 }
 
 double WeightedMean::value() const {
@@ -147,13 +102,6 @@ double percentile(std::span<const double> samples, double q) {
   const auto hi = std::min(lo + 1, sorted.size() - 1);
   const double frac = pos - static_cast<double>(lo);
   return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-}
-
-double mean_of(std::span<const double> samples) {
-  EHPC_EXPECTS(!samples.empty());
-  double sum = 0.0;
-  for (double s : samples) sum += s;
-  return sum / static_cast<double>(samples.size());
 }
 
 double time_weighted_average(const std::vector<std::pair<double, double>>& steps,

@@ -8,37 +8,12 @@
 
 namespace ehpc {
 
-/// Streaming mean/variance/min/max accumulator (Welford's algorithm).
-class RunningStats {
- public:
-  void add(double x);
-  /// Merge another accumulator into this one (parallel reduction friendly).
-  void merge(const RunningStats& other);
-
-  std::size_t count() const { return n_; }
-  double mean() const { return n_ ? mean_ : 0.0; }
-  /// Sample variance (n-1 denominator); 0 for fewer than 2 samples.
-  double variance() const;
-  double stddev() const;
-  double min() const { return n_ ? min_ : 0.0; }
-  double max() const { return n_ ? max_ : 0.0; }
-  double sum() const { return n_ ? mean_ * static_cast<double>(n_) : 0.0; }
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
 /// Weighted arithmetic mean accumulator. Used for the paper's
 /// priority-weighted mean response/completion time metrics.
 class WeightedMean {
  public:
   /// Add a sample with the given non-negative weight.
   void add(double value, double weight);
-  void merge(const WeightedMean& other);
 
   double value() const;
   double total_weight() const { return weight_sum_; }
@@ -83,19 +58,10 @@ class P2Quantile {
 /// copy is sorted).
 double percentile(std::span<const double> samples, double q);
 
-/// Mean of a sample set. Like `percentile`, an empty input is a
-/// precondition violation: callers that can legitimately see empty sample
-/// sets must handle that case explicitly rather than silently folding a
-/// spurious 0 into downstream aggregates.
-double mean_of(std::span<const double> samples);
-
-// Braced-list conveniences (a braced list does not convert to std::span).
+// Braced-list convenience (a braced list does not convert to std::span).
 inline double percentile(std::initializer_list<double> samples, double q) {
   return percentile(std::span<const double>(samples.begin(), samples.size()),
                     q);
-}
-inline double mean_of(std::initializer_list<double> samples) {
-  return mean_of(std::span<const double>(samples.begin(), samples.size()));
 }
 
 /// Time-weighted average of a step function given as (timestamp, value)

@@ -64,37 +64,10 @@ bool PolicyEngine::rescale_allowed(const JobState& j, double now) const {
   return now - j.last_action_time >= config_.rescale_gap_s;
 }
 
-void PolicyEngine::set_progress_provider(ProgressProvider provider) {
-  progress_ = std::move(provider);
-}
-
-double PolicyEngine::effective_priority(const JobState& j, double now) const {
-  double priority = static_cast<double>(j.spec.priority);
-  if (config_.aging_rate_per_s > 0.0 && !j.running && !j.completed) {
-    priority += config_.aging_rate_per_s * std::max(0.0, now - j.submit_time);
-  }
-  return priority;
-}
-
-bool PolicyEngine::expand_worthwhile(const JobState& j, int add) const {
-  if (config_.min_expand_gain > 0.0 &&
-      static_cast<double>(add) <
-          config_.min_expand_gain * static_cast<double>(j.replicas)) {
-    return false;
-  }
-  if (config_.min_remaining_fraction_for_expand > 0.0 && progress_) {
-    if (progress_(j.spec.id) < config_.min_remaining_fraction_for_expand) {
-      return false;
-    }
-  }
-  return true;
-}
-
 std::vector<JobId> PolicyEngine::queued() const {
   std::vector<JobId> out;
-  for (const auto& [priority, run] : queued_) {
-    for (const JobState* st : run) out.push_back(st->spec.id);
-  }
+  out.reserve(queued_.size());
+  for (const JobState* st : queued_) out.push_back(st->spec.id);
   return out;
 }
 
@@ -148,7 +121,7 @@ std::vector<Action> PolicyEngine::submit(const JobSpec& raw_spec, double now) {
   if (job.running) {
     running_.insert(&job);
   } else {
-    queued_[spec.priority].insert(&job);
+    queued_.insert(&job);
   }
   return actions;
 }
@@ -161,11 +134,10 @@ std::vector<Action> PolicyEngine::try_shrink_to_fit(JobState& job, double now) {
   auto stop = running_.begin();
   if (config_.protect_top_job && stop != running_.end()) ++stop;
   int num_to_free = job.spec.min_replicas - free_slots_ + config_.reserve_slots;
-  const double job_priority = effective_priority(job, now);
   for (auto it = running_.end(); num_to_free > 0 && it != stop;) {
     const JobState& j = **--it;
     if (!rescale_allowed(j, now)) continue;
-    if (effective_priority(j, now) > job_priority) break;
+    if (j.spec.priority > job.spec.priority) break;
     if (j.replicas > j.spec.min_replicas) {
       const int new_replicas =
           std::max(j.spec.min_replicas, j.replicas - num_to_free);
@@ -184,7 +156,7 @@ std::vector<Action> PolicyEngine::try_shrink_to_fit(JobState& job, double now) {
   for (auto it = running_.end(); max_to_free > 0 && it != stop;) {
     JobState& j = **--it;
     if (!rescale_allowed(j, now)) continue;
-    if (effective_priority(j, now) > job_priority) break;
+    if (j.spec.priority > job.spec.priority) break;
     if (j.replicas > j.spec.min_replicas) {
       const int new_replicas =
           std::max(j.spec.min_replicas, j.replicas - max_to_free);
@@ -217,15 +189,8 @@ void PolicyEngine::abandon(JobId id) {
   EHPC_EXPECTS(!st.running && !st.completed);
   EHPC_ENSURES(st.replicas == 0);  // queued jobs hold no slots
   st.completed = true;
-  unqueue(&st);
-}
-
-void PolicyEngine::unqueue(JobState* job) {
-  auto run = queued_.find(job->spec.priority);
-  EHPC_ENSURES(run != queued_.end());
-  const std::size_t erased = run->second.erase(job);
+  const std::size_t erased = queued_.erase(&st);
   EHPC_ENSURES(erased == 1);
-  if (run->second.empty()) queued_.erase(run);
 }
 
 void PolicyEngine::forget(JobId id) {
@@ -244,54 +209,27 @@ std::vector<Action> PolicyEngine::complete(JobId id, double now) {
   done.completed = true;
   running_.erase(&done);
 
-  // Fig. 3: hand the available slots to jobs in decreasing effective
-  // priority (ties by PriorityOrder) — running jobs below their max
-  // (elastic only) and queued jobs that can reach at least their min.
-  //
-  // Each source below is already sorted under that order at `now`: running
-  // jobs do not age, and within one raw priority a queued job's effective
-  // priority p + r*max(0, now - submit) never rises with its submit time
-  // (each floating-point step is monotone), so ties fall back to
-  // PriorityOrder, the run's own order. Repeatedly taking the best head
-  // therefore visits jobs exactly as sorting them all would.
-  struct Source {
-    JobSet::iterator next, end;
-    double priority;  ///< effective priority of *next
-  };
-  std::vector<Source> sources;
-  auto add_source = [&](JobSet& set) {
-    if (!set.empty()) {
-      sources.push_back({set.begin(), set.end(), effective_priority(**set.begin(), now)});
-    }
-  };
+  // Fig. 3: hand the available slots to jobs in PriorityOrder — running
+  // jobs below their max (elastic only) and queued jobs that can reach at
+  // least their min. Both sets are already in that order, so taking the
+  // earlier of their two heads at each step visits jobs exactly as sorting
+  // them all would.
   const bool can_rescale = config_.mode == PolicyMode::kElastic;
-  if (can_rescale) add_source(running_);
-  for (auto& [priority, run] : queued_) add_source(run);
-
+  auto run = can_rescale ? running_.begin() : running_.end();
+  auto queue = queued_.begin();
   std::vector<Action> actions;
   std::vector<JobState*> started;
   int budget = free_slots_;
-  while (budget > 0) {
-    Source* best = nullptr;
-    for (Source& s : sources) {
-      if (s.next == s.end) continue;
-      if (best == nullptr ||
-          (s.priority != best->priority ? s.priority > best->priority
-                                        : PriorityOrder{}(**s.next, **best->next))) {
-        best = &s;
-      }
-    }
-    if (best == nullptr) break;
-    JobState& j = **best->next;
-    if (++best->next != best->end) {
-      best->priority = effective_priority(**best->next, now);
-    }
+  while (budget > 0 && (run != running_.end() || queue != queued_.end())) {
+    const bool take_run =
+        queue == queued_.end() ||
+        (run != running_.end() && PriorityOrder{}(**run, **queue));
+    JobState& j = take_run ? **run++ : **queue++;
     if (!rescale_allowed(j, now)) continue;
     if (j.replicas >= j.spec.max_replicas) continue;
     const int add = std::min(budget, j.spec.max_replicas - j.replicas);
     if (j.replicas + add < j.spec.min_replicas) continue;
     const bool was_queued = !j.running;
-    if (!was_queued && !expand_worthwhile(j, add)) continue;
     j.replicas += add;
     j.running = true;
     j.last_action_time = now;
@@ -305,7 +243,7 @@ std::vector<Action> PolicyEngine::complete(JobId id, double now) {
   }
   // Moved only now so the walk over running_ never meets a job it started.
   for (JobState* j : started) {
-    unqueue(j);
+    queued_.erase(j);
     running_.insert(j);
   }
   return actions;

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <functional>
 #include <map>
 #include <set>
 #include <string>
@@ -34,45 +33,21 @@ struct PolicyConfig {
   /// job is never shrunk (and a lone running job cannot be evicted at all).
   /// true = faithful to the paper; false = also consider index 0 (ablation).
   bool protect_top_job = true;
-
-  // ---- extensions beyond the paper's evaluated policy ----
-
-  /// Aging (paper §3.2.2): a queued job's effective priority grows by this
-  /// many priority points per second of waiting, preventing starvation of
-  /// low-priority jobs under high traffic. 0 disables aging (paper default).
-  double aging_rate_per_s = 0.0;
-
-  /// Cost/benefit-aware expansion (paper §6): decline to expand a running
-  /// job whose remaining work fraction is below this threshold — "if only a
-  /// small fraction of a job remains, scaling up may not provide enough
-  /// benefit". Requires a progress provider. 0 disables.
-  double min_remaining_fraction_for_expand = 0.0;
-
-  /// Decline expansions that grow a job by less than this fraction of its
-  /// current replicas ("a small increase ... may not justify the overhead").
-  /// 0 disables.
-  double min_expand_gain = 0.0;
 };
 
 /// The scheduling-policy engine: owns the scheduler's view of every job and
 /// implements the paper's submit/complete algorithms, emitting Actions for
 /// an executor (the Kubernetes operator or the performance simulator) to
 /// realize. The engine applies its own bookkeeping optimistically, exactly
-/// like the in-operator scheduler whose view is authoritative.
+/// like the in-operator scheduler whose view is authoritative. Live jobs sit
+/// in two sets ordered by `PriorityOrder`, one running and one queued, so no
+/// decision collects or sorts them.
 class PolicyEngine {
  public:
-  /// Reports the fraction of a job's work still remaining (1 = just started,
-  /// 0 = done). Wired by the executor when cost/benefit-aware expansion is
-  /// enabled; it stands in for the application-side accept/decline hook the
-  /// paper sketches in §6.
-  using ProgressProvider = std::function<double(JobId)>;
-
   PolicyEngine(int total_slots, PolicyConfig config);
   // The priority sets point into the job map; a copy would alias it.
   PolicyEngine(const PolicyEngine&) = delete;
   PolicyEngine& operator=(const PolicyEngine&) = delete;
-
-  void set_progress_provider(ProgressProvider provider);
 
   /// Handle a job submission at time `now` (paper Fig. 2). The spec is
   /// transformed per the mode (rigid modes collapse min/max). Returns the
@@ -103,9 +78,8 @@ class PolicyEngine {
   const PolicyConfig& config() const { return config_; }
   bool has_job(JobId id) const { return jobs_.count(id) > 0; }
   const JobState& job(JobId id) const;
-  /// Queued (submitted, not yet started, not completed) jobs in raw
-  /// `PriorityOrder`, without aging credit. With aging enabled this is not
-  /// necessarily the order `complete()` hands out slots in.
+  /// Queued (submitted, not yet started, not completed) jobs in
+  /// `PriorityOrder`, the order `complete()` offers them slots in.
   std::vector<JobId> queued() const;
   /// Running jobs in decreasing priority order.
   std::vector<JobId> running() const;
@@ -116,17 +90,10 @@ class PolicyEngine {
   JobState& job_mut(JobId id);
   JobSpec transform_spec(JobSpec spec) const;
   bool rescale_allowed(const JobState& j, double now) const;
-  /// Priority including aging credit for queued jobs.
-  double effective_priority(const JobState& j, double now) const;
-  /// Extension hooks: false when an expand of `j` by `add` replicas should
-  /// be declined (too little remaining work or too little gain).
-  bool expand_worthwhile(const JobState& j, int add) const;
   // Fig. 2 second half: shrink lower-priority running jobs to fit `job`.
   // Returns the actions performed; on failure leaves state untouched and
   // returns only an enqueue marker.
   std::vector<Action> try_shrink_to_fit(JobState& job, double now);
-  // Remove a queued job from its priority run (dropping the run if empty).
-  void unqueue(JobState* job);
 
   struct ByPriority {
     bool operator()(const JobState* a, const JobState* b) const {
@@ -139,11 +106,8 @@ class PolicyEngine {
   int free_slots_;
   PolicyConfig config_;
   std::map<JobId, JobState> jobs_;  ///< owns every job, completed ones too
-  // Live jobs kept in priority order so no decision collects or sorts them.
   JobSet running_;
-  /// Queued jobs, one PriorityOrder run per raw priority, highest first.
-  std::map<int, JobSet, std::greater<int>> queued_;
-  ProgressProvider progress_;
+  JobSet queued_;
 };
 
 }  // namespace ehpc::elastic

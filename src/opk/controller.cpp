@@ -139,7 +139,6 @@ void CharmJobController::update_readiness(const std::string& job_name) {
   if (job.phase == CharmJobPhase::kCompleted) return;
   int running = 0;
   std::vector<std::string> nodelist;
-  // The label index is name-ordered, so the nodelist comes out sorted.
   // Reads only — pod mutations cannot happen under us here.
   for (const std::string& name :
        cluster_.index().pods_with_label("job", job_name)) {
@@ -151,6 +150,14 @@ void CharmJobController::update_readiness(const std::string& job_name) {
       nodelist.push_back(name);
     }
   }
+  // The label index is name-ordered, which puts "-worker-10" before
+  // "-worker-2"; the launcher reads ranks in order. Every worker name is
+  // the job's prefix plus a rank without leading zeros, so a shorter name
+  // has a lower rank and equal-length names order by their digits.
+  std::sort(nodelist.begin(), nodelist.end(),
+            [](const std::string& a, const std::string& b) {
+              return a.size() != b.size() ? a.size() < b.size() : a < b;
+            });
   const int desired = job.desired_replicas;
   if (running != job.ready_replicas || nodelist != job.nodelist) {
     jobs_.mutate(job_name, [&](CharmJob& j) {

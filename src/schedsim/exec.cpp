@@ -20,15 +20,6 @@ void JobExec::accrue_until(double now) {
   }
 }
 
-double JobExec::remaining_fraction(double now) const {
-  if (done || workload.total_steps <= 0.0) return 0.0;
-  double remaining = remaining_steps;
-  if (started && now > accrue_from) {
-    remaining = std::max(0.0, remaining - (now - accrue_from) / step_time());
-  }
-  return remaining / workload.total_steps;
-}
-
 ExecHarness::ExecHarness(
     sim::Simulation& sim, int total_slots, const elastic::PolicyConfig& policy,
     const std::map<elastic::JobClass, elastic::Workload>& workloads)
@@ -36,10 +27,6 @@ ExecHarness::ExecHarness(
   EHPC_EXPECTS(total_slots_ > 0);
   EHPC_EXPECTS(!workloads_.empty());
   engine_ = std::make_unique<elastic::PolicyEngine>(total_slots_, policy);
-  // Remaining work fraction for cost/benefit-aware expansion (paper §6).
-  engine_->set_progress_provider([this](JobId id) {
-    return execs_.at(id).remaining_fraction(sim_.now());
-  });
   collector_ = std::make_unique<elastic::MetricsCollector>(total_slots_);
 }
 

@@ -58,10 +58,9 @@ struct SimResult {
   StreamStats stream;
 };
 
-/// Per-job execution bookkeeping shared by every experiment substrate: the
-/// workload model, progress accounting in virtual time, and the lifecycle
-/// record. Replaces the formerly duplicated `Exec` structs of
-/// `SchedSimulator` and `ClusterExperiment`.
+/// Per-job execution bookkeeping shared by both experiment substrates
+/// (`SchedSimulator` and `ClusterExperiment`): the workload model, progress
+/// accounting in virtual time, and the lifecycle record.
 struct JobExec {
   elastic::Workload workload;
   std::string job_name;  ///< CharmJob CR name on the cluster substrate
@@ -113,11 +112,6 @@ struct JobExec {
   /// Fold progress accrued up to `now` into `remaining_steps`. Must be
   /// called before `replicas` changes, since the rate is the current one.
   void accrue_until(double now);
-
-  /// Fraction of work still remaining as of `now` (1 = just started,
-  /// 0 = done), without mutating state. Feeds the policy engine's
-  /// cost/benefit-aware expansion hook.
-  double remaining_fraction(double now) const;
 };
 
 /// Substrate-agnostic experiment harness: owns the PolicyEngine, the shared

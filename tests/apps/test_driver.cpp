@@ -100,6 +100,63 @@ TEST(IterationDriver, LbPeriodPausesButCompletes) {
   EXPECT_GT(rt.now(), rt2.now());  // LB steps cost virtual time
 }
 
+// Recovery must leave resuming the app to the restart handler alone. The
+// run is long and the downtime short, so a second resume from the
+// interrupted code path would land mid-iteration and trip the next disk
+// checkpoint's quiescence check.
+charm::RuntimeConfig fast_recovery() {
+  charm::RuntimeConfig cfg = pes(4);
+  cfg.failure_detection_s = 1e-4;
+  cfg.startup_alpha_s = 0.0;
+  cfg.startup_per_pe_s = 0.0;
+  return cfg;
+}
+
+JacobiConfig jacobi256() {
+  JacobiConfig cfg;
+  cfg.grid_n = 256;
+  cfg.blocks_x = 4;
+  cfg.blocks_y = 4;
+  cfg.max_iterations = 200;
+  return cfg;
+}
+
+TEST(IterationDriver, FailureFromHookResumesOnce) {
+  charm::Runtime rt(fast_recovery());
+  Jacobi2D app(rt, jacobi256());
+  app.driver().set_disk_checkpoint_period(4);
+  app.driver().at_iteration(10, [](charm::Runtime& r) { r.fail_and_recover(); });
+  app.start();
+  ASSERT_NO_THROW(rt.run());
+  EXPECT_TRUE(app.driver().finished());
+  EXPECT_EQ(rt.recoveries(), 1);
+  // Rolled back to iteration 8, so iterations 9 and 10 end twice, and the
+  // re-run of 9 ends only after the downtime.
+  const auto& times = app.driver().iteration_end_times();
+  ASSERT_EQ(times.size(), 202u);
+  EXPECT_GT(times[10] - times[9], 1e-4);
+}
+
+TEST(IterationDriver, FailureDuringDiskCheckpointResumesOnce) {
+  charm::Runtime rt(fast_recovery());
+  Jacobi2D app(rt, jacobi256());
+  app.driver().set_disk_checkpoint_period(4);
+  // Iteration 8's checkpoint starts right after this hook; the failure
+  // lands inside its write window.
+  app.driver().at_iteration(8, [](charm::Runtime& r) {
+    r.schedule_external(r.now() + 1e-7, [](charm::Runtime& r2) { r2.fail_and_recover(); });
+  });
+  app.start();
+  ASSERT_NO_THROW(rt.run());
+  EXPECT_TRUE(app.driver().finished());
+  EXPECT_EQ(rt.recoveries(), 1);
+  // The checkpoint being written is the one recovered from, so no
+  // iteration re-runs.
+  const auto& times = app.driver().iteration_end_times();
+  ASSERT_EQ(times.size(), 200u);
+  EXPECT_GT(times[8] - times[7], 1e-4);
+}
+
 TEST(IterationDriver, RejectsBadArguments) {
   charm::Runtime rt(pes(2));
   JacobiConfig cfg = tiny(5);

@@ -12,59 +12,6 @@
 namespace ehpc {
 namespace {
 
-TEST(RunningStats, EmptyIsZero) {
-  RunningStats s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-}
-
-TEST(RunningStats, SingleSample) {
-  RunningStats s;
-  s.add(5.0);
-  EXPECT_EQ(s.count(), 1u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.min(), 5.0);
-  EXPECT_DOUBLE_EQ(s.max(), 5.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-}
-
-TEST(RunningStats, KnownMeanAndVariance) {
-  RunningStats s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);  // sample variance
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(RunningStats, MergeMatchesSequential) {
-  RunningStats all, a, b;
-  for (int i = 0; i < 50; ++i) {
-    const double x = i * 0.7 - 3.0;
-    all.add(x);
-    (i % 2 == 0 ? a : b).add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-12);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(RunningStats, MergeWithEmpty) {
-  RunningStats a, empty;
-  a.add(1.0);
-  a.add(2.0);
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 2u);
-  empty.merge(a);
-  EXPECT_EQ(empty.count(), 2u);
-  EXPECT_DOUBLE_EQ(empty.mean(), 1.5);
-}
-
 TEST(WeightedMean, MatchesHandComputation) {
   WeightedMean wm;
   wm.add(10.0, 1.0);
@@ -84,14 +31,6 @@ TEST(WeightedMean, ZeroWeightSamplesIgnoredInValue) {
 TEST(WeightedMean, NegativeWeightThrows) {
   WeightedMean wm;
   EXPECT_THROW(wm.add(1.0, -0.5), PreconditionError);
-}
-
-TEST(WeightedMean, MergeCombines) {
-  WeightedMean a, b;
-  a.add(1.0, 1.0);
-  b.add(3.0, 1.0);
-  a.merge(b);
-  EXPECT_DOUBLE_EQ(a.value(), 2.0);
 }
 
 TEST(Percentile, MedianOfOddSet) {
@@ -115,18 +54,6 @@ TEST(Percentile, SingleElement) {
 
 TEST(Percentile, EmptyThrows) {
   EXPECT_THROW(percentile({}, 0.5), PreconditionError);
-}
-
-TEST(MeanOf, Basics) {
-  EXPECT_DOUBLE_EQ(mean_of({2.0, 4.0}), 3.0);
-  EXPECT_DOUBLE_EQ(mean_of({5.0}), 5.0);
-}
-
-TEST(MeanOf, EmptyThrowsLikePercentile) {
-  // mean_of used to return 0.0 on empty input while percentile threw; the
-  // goodput metrics hit the empty case on jobs killed before their first
-  // iteration, and a silent 0 would poison averaged results.
-  EXPECT_THROW(mean_of({}), PreconditionError);
 }
 
 TEST(TimeWeightedAverage, ConstantFunction) {
@@ -191,38 +118,6 @@ TEST(StepAverage, RejectsTimeTravel) {
   EXPECT_THROW(step_average({{5.0, 1.0}, {4.0, 1.0}}, 0.0, 10.0),
                PreconditionError);
   EXPECT_THROW(step_average({{5.0, 1.0}}, 2.0, 1.0), PreconditionError);
-}
-
-TEST(RunningStats, NegativeSamplesTrackMinMax) {
-  RunningStats s;
-  for (double x : {-3.0, -1.0, -7.0}) s.add(x);
-  EXPECT_DOUBLE_EQ(s.min(), -7.0);
-  EXPECT_DOUBLE_EQ(s.max(), -1.0);
-  EXPECT_DOUBLE_EQ(s.mean(), -11.0 / 3.0);
-  EXPECT_DOUBLE_EQ(s.sum(), -11.0);
-}
-
-TEST(RunningStats, StddevIsSqrtOfVariance) {
-  RunningStats s;
-  for (double x : {1.0, 3.0, 5.0}) s.add(x);
-  EXPECT_DOUBLE_EQ(s.stddev() * s.stddev(), s.variance());
-}
-
-TEST(RunningStats, ConstantSamplesHaveZeroVariance) {
-  RunningStats s;
-  for (int i = 0; i < 10; ++i) s.add(4.25);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-  EXPECT_DOUBLE_EQ(s.stddev(), 0.0);
-}
-
-TEST(WeightedMean, MergeWithEmptyIsIdentity) {
-  WeightedMean a, empty;
-  a.add(5.0, 2.0);
-  a.merge(empty);
-  EXPECT_DOUBLE_EQ(a.value(), 5.0);
-  EXPECT_EQ(a.count(), 1u);
-  empty.merge(a);
-  EXPECT_DOUBLE_EQ(empty.value(), 5.0);
 }
 
 TEST(Percentile, OutOfRangeQuantileThrows) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 namespace ehpc::opk {
 namespace {
 
@@ -59,6 +62,16 @@ TEST(CharmJobController, NodelistSortedAndComplete) {
   ASSERT_EQ(nodelist.size(), 4u);
   EXPECT_TRUE(std::is_sorted(nodelist.begin(), nodelist.end()));
   EXPECT_EQ(nodelist[0], "j1-worker-0");
+}
+
+TEST(CharmJobController, NodelistInRankOrderPastTenWorkers) {
+  // Name order would put "j1-worker-10" before "j1-worker-2".
+  Fixture f;
+  f.jobs.add(f.make_job("j1", 12));
+  f.cluster.sim().run();
+  std::vector<std::string> want;
+  for (int rank = 0; rank < 12; ++rank) want.push_back("j1-worker-" + std::to_string(rank));
+  EXPECT_EQ(f.jobs.get("j1").nodelist, want);
 }
 
 TEST(CharmJobController, WhenReadyFiresAfterAllRunning) {

@@ -54,7 +54,8 @@ def main() -> int:
         if not doc.strip():
             continue
         for stanza in json.loads(doc)["files"]:
-            if needle not in stanza["file"]:
+            # A header with no executable code has a stanza with no lines.
+            if needle not in stanza["file"] or not stanza["lines"]:
                 continue
             hits = lines.setdefault(stanza["file"], {})
             for line in stanza["lines"]:
