@@ -7,11 +7,8 @@
 // this driver only overlays flags and renders tables. `threads=N` (a common
 // harness flag) fans the sweep cells out deterministically.
 
-#include <tuple>
-
 #include "bench/lib/registry.hpp"
 #include "common/config.hpp"
-#include "common/table.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/sweep.hpp"
 
@@ -27,34 +24,24 @@ void run(bench::Reporter& rep, const Config& cfg) {
   spec.seed = static_cast<unsigned>(cfg.get_int("seed", 2025));
   spec.calibrated = cfg.get_bool("calibrated", true);
 
-  const auto points =
-      scenario::run_sweep(spec, cfg.get_int("threads", 1)).points;
+  scenario::render_sweep(
+      rep, scenario::run_sweep(spec, cfg.get_int("threads", 1)),
+      {{"fig7a_utilization",
+        "Figure 7a: cluster utilization vs submission gap",
+        &elastic::RunMetrics::utilization},
+       {"fig7b_total_time", "Figure 7b: total time (s) vs submission gap",
+        &elastic::RunMetrics::total_time_s},
+       {"fig7c_response",
+        "Figure 7c: weighted mean response time (s) vs submission gap",
+        &elastic::RunMetrics::weighted_response_s},
+       {"fig7d_completion",
+        "Figure 7d: weighted mean completion time (s) vs submission gap",
+        &elastic::RunMetrics::weighted_completion_s}},
+      {"gap_s",
+       {PolicyMode::kElastic, PolicyMode::kMoldable, PolicyMode::kRigidMin,
+        PolicyMode::kRigidMax},
+       0});
 
-  const std::vector<std::tuple<std::string, std::string,
-                               double elastic::RunMetrics::*>>
-      metrics{{"fig7a_utilization", "Figure 7a: cluster utilization",
-               &elastic::RunMetrics::utilization},
-              {"fig7b_total_time", "Figure 7b: total time (s)",
-               &elastic::RunMetrics::total_time_s},
-              {"fig7c_response", "Figure 7c: weighted mean response time (s)",
-               &elastic::RunMetrics::weighted_response_s},
-              {"fig7d_completion",
-               "Figure 7d: weighted mean completion time (s)",
-               &elastic::RunMetrics::weighted_completion_s}};
-
-  for (const auto& [id, title, member] : metrics) {
-    Table& table = rep.add_table(
-        id, title + " vs submission gap",
-        {"gap_s", "elastic", "moldable", "min_replicas", "max_replicas"});
-    for (const auto& pt : points) {
-      table.add_row(
-          {format_double(pt.x, 0),
-           format_double(pt.metrics.at(PolicyMode::kElastic).*member, 3),
-           format_double(pt.metrics.at(PolicyMode::kMoldable).*member, 3),
-           format_double(pt.metrics.at(PolicyMode::kRigidMin).*member, 3),
-           format_double(pt.metrics.at(PolicyMode::kRigidMax).*member, 3)});
-    }
-  }
   std::string note = "(";
   note += std::to_string(spec.repeats);
   note += " random mixes per point, seed ";

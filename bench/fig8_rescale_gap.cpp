@@ -12,8 +12,6 @@
 // The experiment itself is the registered "fig8_rescale_gap" scenario;
 // `threads=N` (a common harness flag) fans the sweep cells out.
 
-#include <tuple>
-
 #include "bench/lib/registry.hpp"
 #include "common/config.hpp"
 #include "common/table.hpp"
@@ -33,35 +31,24 @@ void run(bench::Reporter& rep, const Config& cfg) {
   spec.calibrated = cfg.get_bool("calibrated", true);
   spec.submission_gap_s = cfg.get_double("submission_gap", 90.0);
 
-  const auto points =
-      scenario::run_sweep(spec, cfg.get_int("threads", 1)).points;
+  scenario::render_sweep(
+      rep, scenario::run_sweep(spec, cfg.get_int("threads", 1)),
+      {{"fig8a_utilization",
+        "Figure 8a: cluster utilization vs T_rescale_gap",
+        &elastic::RunMetrics::utilization},
+       {"fig8b_total_time", "Figure 8b: total time (s) vs T_rescale_gap",
+        &elastic::RunMetrics::total_time_s},
+       {"fig8c_response",
+        "Figure 8c: weighted mean response time (s) vs T_rescale_gap",
+        &elastic::RunMetrics::weighted_response_s},
+       {"fig8d_completion",
+        "Figure 8d: weighted mean completion time (s) vs T_rescale_gap",
+        &elastic::RunMetrics::weighted_completion_s}},
+      {"rescale_gap_s",
+       {PolicyMode::kElastic, PolicyMode::kMoldable, PolicyMode::kRigidMin,
+        PolicyMode::kRigidMax},
+       0});
 
-  const std::vector<std::tuple<std::string, std::string,
-                               double elastic::RunMetrics::*>>
-      metrics{{"fig8a_utilization", "Figure 8a: cluster utilization",
-               &elastic::RunMetrics::utilization},
-              {"fig8b_total_time", "Figure 8b: total time (s)",
-               &elastic::RunMetrics::total_time_s},
-              {"fig8c_response", "Figure 8c: weighted mean response time (s)",
-               &elastic::RunMetrics::weighted_response_s},
-              {"fig8d_completion",
-               "Figure 8d: weighted mean completion time (s)",
-               &elastic::RunMetrics::weighted_completion_s}};
-
-  for (const auto& [id, title, member] : metrics) {
-    Table& table = rep.add_table(
-        id, title + " vs T_rescale_gap",
-        {"rescale_gap_s", "elastic", "moldable", "min_replicas",
-         "max_replicas"});
-    for (const auto& pt : points) {
-      table.add_row(
-          {format_double(pt.x, 0),
-           format_double(pt.metrics.at(PolicyMode::kElastic).*member, 3),
-           format_double(pt.metrics.at(PolicyMode::kMoldable).*member, 3),
-           format_double(pt.metrics.at(PolicyMode::kRigidMin).*member, 3),
-           format_double(pt.metrics.at(PolicyMode::kRigidMax).*member, 3)});
-    }
-  }
   std::string note = "(";
   note += std::to_string(spec.repeats);
   note += " random mixes per point, submission gap ";

@@ -38,7 +38,8 @@ void run(bench::Reporter& rep, const Config& cfg) {
   }
 
   const auto mix = scenario::make_mix(spec, spec.seed);
-  const auto results = scenario::run_policies(spec, mix);
+  const auto results =
+      scenario::run_policies(spec, spec.seed, scenario::workloads_for(spec));
 
   double horizon = 0.0;
   for (const auto& [mode, res] : results) {

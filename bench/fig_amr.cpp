@@ -7,8 +7,6 @@
 // The experiments are the registered "amr_imbalance" / "amr_lb_ablation"
 // scenarios; this driver overlays flags and renders tables.
 
-#include <tuple>
-
 #include "apps/amr.hpp"
 #include "apps/calibration.hpp"
 #include "bench/lib/registry.hpp"
@@ -34,33 +32,24 @@ void run(bench::Reporter& rep, const Config& cfg) {
       scenario::ScenarioRegistry::instance().require("amr_imbalance");
   imbalance.repeats = repeats;
   imbalance.seed = seed;
-  const auto imbalance_points = scenario::run_sweep(imbalance, threads).points;
-
-  const std::vector<std::tuple<std::string, std::string,
-                               double elastic::RunMetrics::*>>
-      metrics{{"fig_amr_a1_utilization", "AMR panel a: cluster utilization",
-               &elastic::RunMetrics::utilization},
-              {"fig_amr_a2_total_time", "AMR panel a: total time (s)",
-               &elastic::RunMetrics::total_time_s},
-              {"fig_amr_a3_completion",
-               "AMR panel a: weighted mean completion time (s)",
-               &elastic::RunMetrics::weighted_completion_s},
-              {"fig_amr_a4_lb_ratio",
-               "AMR panel a: mean post-LB max/avg load ratio",
-               &elastic::RunMetrics::lb_post_ratio}};
-  for (const auto& [id, title, member] : metrics) {
-    Table& table = rep.add_table(
-        id, title + " vs refinement rate",
-        {"refine_rate", "elastic", "moldable", "min_replicas", "max_replicas"});
-    for (const auto& pt : imbalance_points) {
-      table.add_row(
-          {format_double(pt.x, 3),
-           format_double(pt.metrics.at(PolicyMode::kElastic).*member, 3),
-           format_double(pt.metrics.at(PolicyMode::kMoldable).*member, 3),
-           format_double(pt.metrics.at(PolicyMode::kRigidMin).*member, 3),
-           format_double(pt.metrics.at(PolicyMode::kRigidMax).*member, 3)});
-    }
-  }
+  scenario::render_sweep(
+      rep, scenario::run_sweep(imbalance, threads),
+      {{"fig_amr_a1_utilization",
+        "AMR panel a: cluster utilization vs refinement rate",
+        &elastic::RunMetrics::utilization},
+       {"fig_amr_a2_total_time",
+        "AMR panel a: total time (s) vs refinement rate",
+        &elastic::RunMetrics::total_time_s},
+       {"fig_amr_a3_completion",
+        "AMR panel a: weighted mean completion time (s) vs refinement rate",
+        &elastic::RunMetrics::weighted_completion_s},
+       {"fig_amr_a4_lb_ratio",
+        "AMR panel a: mean post-LB max/avg load ratio vs refinement rate",
+        &elastic::RunMetrics::lb_post_ratio}},
+      {"refine_rate",
+       {PolicyMode::kElastic, PolicyMode::kMoldable, PolicyMode::kRigidMin,
+        PolicyMode::kRigidMax},
+       3});
 
   // ---- panel b: rescale stage timings under imbalance, per LB strategy ----
   Table& stages = rep.add_table(

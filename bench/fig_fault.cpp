@@ -18,8 +18,6 @@
 // The experiments are the registered fault scenarios; this driver overlays
 // flags and renders tables.
 
-#include <tuple>
-
 #include "bench/lib/registry.hpp"
 #include "charm/load_balancer.hpp"
 #include "common/config.hpp"
@@ -83,33 +81,24 @@ void run(bench::Reporter& rep, const Config& cfg) {
       scenario::ScenarioRegistry::instance().require("fault_churn");
   churn.repeats = repeats;
   churn.seed = seed;
-  const auto churn_points = scenario::run_sweep(churn, threads).points;
-  const std::vector<std::tuple<std::string, std::string,
-                               double elastic::RunMetrics::*>>
-      churn_metrics{
-          {"fig_fault_b1_utilization", "Fault panel b: cluster utilization",
-           &elastic::RunMetrics::utilization},
-          {"fig_fault_b2_completion",
-           "Fault panel b: weighted mean completion time (s)",
-           &elastic::RunMetrics::weighted_completion_s},
-          {"fig_fault_b3_goodput", "Fault panel b: mean per-job goodput",
-           &elastic::RunMetrics::goodput},
-          {"fig_fault_b4_jobs_failed",
-           "Fault panel b: jobs killed by the failure budget",
-           &elastic::RunMetrics::jobs_failed}};
-  for (const auto& [id, title, member] : churn_metrics) {
-    Table& table = rep.add_table(
-        id, title + " vs crash MTBF",
-        {"mtbf_s", "elastic", "moldable", "min_replicas", "max_replicas"});
-    for (const auto& pt : churn_points) {
-      table.add_row(
-          {format_double(pt.x, 0),
-           format_double(pt.metrics.at(PolicyMode::kElastic).*member, 4),
-           format_double(pt.metrics.at(PolicyMode::kMoldable).*member, 4),
-           format_double(pt.metrics.at(PolicyMode::kRigidMin).*member, 4),
-           format_double(pt.metrics.at(PolicyMode::kRigidMax).*member, 4)});
-    }
-  }
+  scenario::render_sweep(
+      rep, scenario::run_sweep(churn, threads),
+      {{"fig_fault_b1_utilization",
+        "Fault panel b: cluster utilization vs crash MTBF",
+        &elastic::RunMetrics::utilization},
+       {"fig_fault_b2_completion",
+        "Fault panel b: weighted mean completion time (s) vs crash MTBF",
+        &elastic::RunMetrics::weighted_completion_s},
+       {"fig_fault_b3_goodput",
+        "Fault panel b: mean per-job goodput vs crash MTBF",
+        &elastic::RunMetrics::goodput},
+       {"fig_fault_b4_jobs_failed",
+        "Fault panel b: jobs killed by the failure budget vs crash MTBF",
+        &elastic::RunMetrics::jobs_failed}},
+      {"mtbf_s",
+       {PolicyMode::kElastic, PolicyMode::kMoldable, PolicyMode::kRigidMin,
+        PolicyMode::kRigidMax},
+       0, 4});
 
   // ---- panel c: checkpoint-period tradeoff at fixed MTBF ----
   scenario::ScenarioSpec period = churn;

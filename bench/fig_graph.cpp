@@ -15,7 +15,6 @@
 // top.
 
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "apps/calibration.hpp"
@@ -58,31 +57,21 @@ void run(bench::Reporter& rep, const Config& cfg) {
       scenario::ScenarioRegistry::instance().require("graph_superstep");
   superstep.repeats = repeats;
   superstep.seed = seed;
-  const auto skew_points = scenario::run_sweep(superstep, threads).points;
-
-  const std::vector<std::tuple<std::string, std::string,
-                               double elastic::RunMetrics::*>>
-      metrics{{"fig_graph_a1_utilization",
-               "Graph panel a: cluster utilization",
-               &elastic::RunMetrics::utilization},
-              {"fig_graph_a2_total_time", "Graph panel a: total time (s)",
-               &elastic::RunMetrics::total_time_s},
-              {"fig_graph_a3_completion",
-               "Graph panel a: weighted mean completion time (s)",
-               &elastic::RunMetrics::weighted_completion_s}};
-  for (const auto& [id, title, member] : metrics) {
-    Table& table = rep.add_table(
-        id, title + " vs power-law skew",
-        {"graph_skew", "elastic", "moldable", "min_replicas", "max_replicas"});
-    for (const auto& pt : skew_points) {
-      table.add_row(
-          {format_double(pt.x, 3),
-           format_double(pt.metrics.at(PolicyMode::kElastic).*member, 3),
-           format_double(pt.metrics.at(PolicyMode::kMoldable).*member, 3),
-           format_double(pt.metrics.at(PolicyMode::kRigidMin).*member, 3),
-           format_double(pt.metrics.at(PolicyMode::kRigidMax).*member, 3)});
-    }
-  }
+  scenario::render_sweep(
+      rep, scenario::run_sweep(superstep, threads),
+      {{"fig_graph_a1_utilization",
+        "Graph panel a: cluster utilization vs power-law skew",
+        &elastic::RunMetrics::utilization},
+       {"fig_graph_a2_total_time",
+        "Graph panel a: total time (s) vs power-law skew",
+        &elastic::RunMetrics::total_time_s},
+       {"fig_graph_a3_completion",
+        "Graph panel a: weighted mean completion time (s) vs power-law skew",
+        &elastic::RunMetrics::weighted_completion_s}},
+      {"graph_skew",
+       {PolicyMode::kElastic, PolicyMode::kMoldable, PolicyMode::kRigidMin,
+        PolicyMode::kRigidMax},
+       3});
 
   // ---- panel b: oversubscription vs LB strategy on the runtime ----
   apps::GraphConfig config;

@@ -56,11 +56,12 @@ void run(bench::Reporter& rep, const Config& cfg) {
     scenario::ScenarioSpec spec = base;
     spec.trace_jobs = jobs;
     spec.seed = seed;
-    spec.validate();
+    spec.policies = {elastic::PolicyMode::kElastic};
 
     bench::Timer timer;
     const schedsim::SimResult result =
-        scenario::run_single(spec, elastic::PolicyMode::kElastic, seed);
+        scenario::run_policies(spec, seed, scenario::workloads_for(spec))
+            .at(elastic::PolicyMode::kElastic);
     const double wall_ms = timer.elapsed_ms();
 
     const schedsim::StreamStats& stream = result.stream;
@@ -95,7 +96,6 @@ void run(bench::Reporter& rep, const Config& cfg) {
   scenario::ScenarioSpec policy_spec = base;
   policy_spec.trace_jobs = policy_jobs;
   policy_spec.seed = seed;
-  policy_spec.validate();
 
   Table& policies = rep.add_table(
       "fig_trace_policies",
@@ -103,7 +103,8 @@ void run(bench::Reporter& rep, const Config& cfg) {
       "scenario)",
       {"policy", "peak_live", "abandoned", "timed_out", "resp_p50", "resp_p99",
        "utilization", "goodput", "total_time_s"});
-  const auto results = scenario::run_policies_stream(policy_spec, seed);
+  const auto results = scenario::run_policies(
+      policy_spec, seed, scenario::workloads_for(policy_spec));
   for (const auto& [mode, result] : results) {
     const schedsim::StreamStats& stream = result.stream;
     const elastic::RunMetrics& m = result.metrics;

@@ -12,12 +12,11 @@
 //
 // See bench_compare for diffing the output against a committed baseline.
 
-#include <cmath>
 #include <iostream>
 
 #include "bench/lib/runner.hpp"
-#include "charm/load_balancer.hpp"
 #include "bench/lib/timer.hpp"
+#include "charm/load_balancer.hpp"
 #include "common/table.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/sweep.hpp"
@@ -28,58 +27,43 @@ namespace {
 
 /// Render a sweep as one table per §4.3 metric (columns = policies), the
 /// same layout the figure benches use.
-void report_sweep(bench::Reporter& rep, const scenario::ScenarioSpec& spec,
-                  const scenario::SweepResult& sweep) {
+void add_sweep_tables(bench::Reporter& rep, const scenario::ScenarioSpec& spec,
+                      const scenario::SweepResult& sweep) {
   const bool axis_in_seconds =
       spec.axis == scenario::SweepAxis::kSubmissionGap ||
       spec.axis == scenario::SweepAxis::kRescaleGap;
-  const std::string x_label =
+  scenario::SweepColumns columns{
       spec.axis == scenario::SweepAxis::kNone
           ? "x"
-          : to_string(spec.axis) + (axis_in_seconds ? "_s" : "");
-  const auto x_cell = [&](double x) {
-    if (spec.axis == scenario::SweepAxis::kLbStrategy) {
-      return charm::load_balancer_names().at(static_cast<std::size_t>(x));
-    }
-    return format_double(x, std::floor(x) == x ? 0 : 3);
+          : to_string(spec.axis) + (axis_in_seconds ? "_s" : ""),
+      spec.policies};
+  if (spec.axis == scenario::SweepAxis::kLbStrategy) {
+    columns.x_names = &charm::load_balancer_names();
+  }
+  std::vector<scenario::SweepTable> tables;
+  const auto add = [&](const std::string& id,
+                       double elastic::RunMetrics::*metric) {
+    tables.push_back({id, id + " per policy (" + spec.name + ")", metric});
   };
-  std::vector<std::pair<std::string, double elastic::RunMetrics::*>>
-      metrics{{"utilization", &elastic::RunMetrics::utilization},
-              {"total_time_s", &elastic::RunMetrics::total_time_s},
-              {"response_s", &elastic::RunMetrics::weighted_response_s},
-              {"completion_s", &elastic::RunMetrics::weighted_completion_s}};
+  add("utilization", &elastic::RunMetrics::utilization);
+  add("total_time_s", &elastic::RunMetrics::total_time_s);
+  add("response_s", &elastic::RunMetrics::weighted_response_s);
+  add("completion_s", &elastic::RunMetrics::weighted_completion_s);
   // LB imbalance health matters exactly when the runtime LB has real work.
   if (spec.app == "amr") {
-    metrics.emplace_back("lb_post_ratio", &elastic::RunMetrics::lb_post_ratio);
-    metrics.emplace_back("lb_migrations_per_step",
-                         &elastic::RunMetrics::lb_migrations_per_step);
+    add("lb_post_ratio", &elastic::RunMetrics::lb_post_ratio);
+    add("lb_migrations_per_step", &elastic::RunMetrics::lb_migrations_per_step);
   }
   // Recovery accounting matters exactly when the plan injects failures (or
   // the sweep axis does).
   if (!spec.faults.empty() || spec.axis == scenario::SweepAxis::kFaultMtbf ||
       spec.axis == scenario::SweepAxis::kCheckpointPeriod) {
-    metrics.emplace_back("recovery_time_s",
-                         &elastic::RunMetrics::recovery_time_s);
-    metrics.emplace_back("lost_work_s", &elastic::RunMetrics::lost_work_s);
-    metrics.emplace_back("goodput", &elastic::RunMetrics::goodput);
-    metrics.emplace_back("jobs_failed", &elastic::RunMetrics::jobs_failed);
+    add("recovery_time_s", &elastic::RunMetrics::recovery_time_s);
+    add("lost_work_s", &elastic::RunMetrics::lost_work_s);
+    add("goodput", &elastic::RunMetrics::goodput);
+    add("jobs_failed", &elastic::RunMetrics::jobs_failed);
   }
-
-  for (const auto& [id, member] : metrics) {
-    std::vector<std::string> headers{x_label};
-    for (const auto mode : spec.policies) {
-      headers.push_back(elastic::to_string(mode));
-    }
-    Table& table =
-        rep.add_table(id, id + " per policy (" + spec.name + ")", headers);
-    for (const auto& point : sweep.points) {
-      std::vector<std::string> row{x_cell(point.x)};
-      for (const auto mode : spec.policies) {
-        row.push_back(format_double(point.metrics.at(mode).*member, 3));
-      }
-      table.add_row(row);
-    }
-  }
+  scenario::render_sweep(rep, sweep, tables, columns);
   rep.note("scenario " + spec.name + ": " + spec.description);
   rep.note(describe(spec));
 }
@@ -115,7 +99,7 @@ int run_scenario_mode(const Config& cfg) {
     return 1;
   }
   reporter.set_wall_ms(timer.elapsed_ms());
-  report_sweep(reporter, spec, sweep);
+  add_sweep_tables(reporter, spec, sweep);
 
   std::map<std::string, std::string> config;
   for (const auto& key : scenario::spec_config_keys()) {

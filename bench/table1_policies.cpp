@@ -30,12 +30,10 @@ void run(bench::Reporter& rep, const Config& cfg) {
   spec.calibrated = cfg.get_bool("calibrated", true);
 
   const auto workloads = scenario::workloads_for(spec);
-  const auto mix = scenario::make_mix(spec, spec.seed);
-
   spec.substrate = scenario::Substrate::kSchedSim;
-  const auto simulated = scenario::run_policies(spec, mix, workloads);
+  const auto simulated = scenario::run_policies(spec, spec.seed, workloads);
   spec.substrate = scenario::Substrate::kCluster;
-  const auto actual = scenario::run_policies(spec, mix, workloads);
+  const auto actual = scenario::run_policies(spec, spec.seed, workloads);
 
   Table& table = rep.add_table(
       "table1",

@@ -41,7 +41,8 @@ int main(int argc, char** argv) {
     if (spec.is_trace()) {
       std::cout << "Streaming trace replay (" << scenario::describe(spec)
                 << ")\n\n";
-      const auto results = scenario::run_policies_stream(spec, spec.seed);
+      const auto results = scenario::run_policies(
+          spec, spec.seed, scenario::workloads_for(spec));
       Table table({"scheduler", "jobs", "peak_live", "abandoned", "timed_out",
                    "resp_p50", "resp_p99", "utilization", "total_s"});
       for (const PolicyMode mode : spec.policies) {
@@ -61,9 +62,10 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    const auto mix = scenario::make_mix(spec, spec.seed);
-    std::cout << "Replaying a generated mix of " << mix.size() << " jobs\n\n";
-    const auto results = scenario::run_policies(spec, mix);
+    std::cout << "Replaying a generated mix of " << spec.num_jobs
+              << " jobs\n\n";
+    const auto results = scenario::run_policies(
+        spec, spec.seed, scenario::workloads_for(spec));
     Table table({"scheduler", "total_s", "utilization", "response_s",
                  "completion_s", "rescales"});
     for (const PolicyMode mode : spec.policies) {

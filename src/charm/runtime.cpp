@@ -610,40 +610,55 @@ void Runtime::disk_checkpoint_then(ExternalEvent continuation) {
   EHPC_EXPECTS(!in_handler_);
   EHPC_EXPECTS(continuation != nullptr);
   assert_quiescent();
-  const double stage = write_checkpoint(disk_checkpoint_, config_.disk_bandwidth_Bps);
-  disk_app_state_.clear();
+  commit_finished_disk_write();
+  DiskCheckpoint& staged = disk_write_.emplace();
+  const double stage =
+      write_checkpoint(staged.data, config_.disk_bandwidth_Bps);
   if (app_state_pup_) {
-    Pup packer = Pup::packer(disk_app_state_);
+    Pup packer = Pup::packer(staged.app_state);
     app_state_pup_(packer);
   }
-  disk_checkpoint_pes_ = num_pes_;
-  ++disk_checkpoints_taken_;
+  staged.pes = num_pes_;
+  disk_write_done_at_ = sim_.now() + stage;
   EHPC_INFO("charm", "disk checkpoint: %.1f MB in %.3fs",
-            disk_checkpoint_.total_modeled_bytes() / 1.0e6, stage);
-  // Epoch guard: a failure inside the write window supersedes the
-  // continuation; the recovery's restart handler resumes the application.
+            staged.data.total_modeled_bytes() / 1.0e6, stage);
+  // The write commits when it completes. Epoch guard: a failure inside the
+  // write window discards the write and supersedes the continuation; the
+  // recovery's restart handler resumes the application.
   sim_.schedule_after(stage, [this, fn = std::move(continuation), epoch = pe_epoch_] {
+    commit_finished_disk_write();
     if (epoch != pe_epoch_) return;
     fn(*this);
   });
 }
 
-void Runtime::fail_and_recover() { fail_and_recover(disk_checkpoint_pes_); }
+void Runtime::commit_finished_disk_write() {
+  if (!disk_write_ || sim_.now() < disk_write_done_at_) return;
+  disk_checkpoint_ = std::move(*disk_write_);
+  disk_write_.reset();
+  ++disk_checkpoints_taken_;
+}
+
+void Runtime::fail_and_recover() {
+  commit_finished_disk_write();
+  fail_and_recover(disk_checkpoint_.pes);
+}
 
 void Runtime::fail_and_recover(int surviving_pes) {
   recover_from_disk(surviving_pes, [](PeId pe) { return pe; });
 }
 
 void Runtime::fail_and_recover(const std::vector<PeId>& failed_pes) {
+  commit_finished_disk_write();
   EHPC_EXPECTS(has_disk_checkpoint());
   EHPC_EXPECTS(!failed_pes.empty());
   std::vector<PeId> failed = failed_pes;
   std::sort(failed.begin(), failed.end());
   EHPC_EXPECTS(std::adjacent_find(failed.begin(), failed.end()) ==
                failed.end());  // each PE dies once
-  EHPC_EXPECTS(failed.front() >= 0 && failed.back() < disk_checkpoint_pes_);
+  EHPC_EXPECTS(failed.front() >= 0 && failed.back() < disk_checkpoint_.pes);
   const int surviving =
-      disk_checkpoint_pes_ - static_cast<int>(failed.size());
+      disk_checkpoint_.pes - static_cast<int>(failed.size());
   EHPC_EXPECTS(surviving > 0);  // total loss is not recoverable
   // Survivors keep their relative order but are renumbered contiguously:
   // old PE p becomes p minus the failed PEs below it. Failed PEs map to the
@@ -658,8 +673,12 @@ void Runtime::fail_and_recover(const std::vector<PeId>& failed_pes) {
 void Runtime::recover_from_disk(int surviving_pes,
                                 const std::function<PeId(PeId)>& remap) {
   EHPC_EXPECTS(!in_handler_);
+  commit_finished_disk_write();
   EHPC_EXPECTS(has_disk_checkpoint());
   EHPC_EXPECTS(surviving_pes > 0);
+  // A write still in flight dies with the node: recovery rolls back to the
+  // last completed checkpoint.
+  disk_write_.reset();
   ++recoveries_;
   // Volatile state dies with the node: reduction rounds, measured loads and
   // measured traffic. (A rescale keeps the loads: its expand LB reads them.)
@@ -669,7 +688,7 @@ void Runtime::recover_from_disk(int surviving_pes,
   }
   comm_bytes_.clear();
   restart(surviving_pes);
-  read_checkpoint(disk_checkpoint_);
+  read_checkpoint(disk_checkpoint_.data);
 
   // The checkpoint-time placement is only a *proposal*: a checkpoint-time
   // PE that no longer exists (node loss, or recovery onto fewer PEs than the
@@ -677,8 +696,8 @@ void Runtime::recover_from_disk(int surviving_pes,
   // the placement goes through the LB seam, which evicts illegal placements
   // and keeps legal ones unless rebalancing wins.
   std::vector<LbObject> objects;
-  objects.reserve(disk_checkpoint_.size());
-  for (const auto& rec : disk_checkpoint_.records()) {
+  objects.reserve(disk_checkpoint_.data.size());
+  for (const auto& rec : disk_checkpoint_.data.records()) {
     LbObject obj;
     obj.array = rec.array;
     obj.elem = rec.elem;
@@ -701,8 +720,8 @@ void Runtime::recover_from_disk(int surviving_pes,
       loc_.set_pe(objects[i].array, objects[i].elem, assignment[i]);
     }
   }
-  if (app_state_pup_ && !disk_app_state_.empty()) {
-    Pup unpacker = Pup::unpacker(disk_app_state_);
+  if (app_state_pup_ && !disk_checkpoint_.app_state.empty()) {
+    Pup unpacker = Pup::unpacker(disk_checkpoint_.app_state);
     app_state_pup_(unpacker);
   }
 
@@ -711,7 +730,7 @@ void Runtime::recover_from_disk(int surviving_pes,
   // the order detection + startup + read, rather than taken pre-rounded
   // from restart(): the recovery times stay bit-identical to that sum.
   const double read_stage =
-      checkpoint_io_s(disk_checkpoint_, config_.disk_bandwidth_Bps);
+      checkpoint_io_s(disk_checkpoint_.data, config_.disk_bandwidth_Bps);
   const double downtime = config_.failure_detection_s +
                           config_.startup_alpha_s +
                           config_.startup_per_pe_s * num_pes_ + read_stage;

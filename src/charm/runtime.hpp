@@ -4,6 +4,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -181,19 +182,22 @@ class Runtime {
   /// Write a full checkpoint to (modeled) disk at a quiescent point, then
   /// run `continuation` — unless a failure recovery intervened, in which
   /// case the restart handler resumes the app instead. Unlike the in-memory
-  /// rescale checkpoint, this one survives node failures.
+  /// rescale checkpoint, this one survives node failures. It becomes the
+  /// recovery target only once the write completes: a failure strictly
+  /// inside the write window rolls back to the previous checkpoint, while a
+  /// failure at exactly the completion instant recovers from this one.
   void disk_checkpoint_then(ExternalEvent continuation);
 
   /// Simulate a node failure: all volatile state (elements, queues,
   /// in-flight messages, reduction rounds) is lost; the runtime restarts
-  /// from the last disk checkpoint with the checkpoint-time PE count,
-  /// charges detection + restart + disk-read time, restores the app state,
-  /// and invokes the restart handler. Unlike rescales this does not require
-  /// quiescence — events belonging to the dead configuration are retired by
-  /// the PE epoch guard. Throws PreconditionError without a prior
-  /// checkpoint. Not callable from inside an entry method (a dead node
-  /// cannot run handlers); inject from a reduction client or a scheduled
-  /// external event instead.
+  /// from the last completed disk checkpoint with the checkpoint-time PE
+  /// count, charges detection + restart + disk-read time, restores the app
+  /// state, and invokes the restart handler. Unlike rescales this does not
+  /// require quiescence — events belonging to the dead configuration are
+  /// retired by the PE epoch guard. Throws PreconditionError without a prior
+  /// completed checkpoint. Not callable from inside an entry method (a dead
+  /// node cannot run handlers); inject from a reduction client or a
+  /// scheduled external event instead.
   void fail_and_recover();
 
   /// Node-loss variant: restart on `surviving_pes` PEs (the checkpoint-time
@@ -209,7 +213,7 @@ class Runtime {
   /// new number; elements on a failed PE are re-placed via the LB strategy.
   void fail_and_recover(const std::vector<PeId>& failed_pes);
 
-  bool has_disk_checkpoint() const { return !disk_checkpoint_.empty(); }
+  bool has_disk_checkpoint() const { return !disk_checkpoint_.data.empty(); }
   int disk_checkpoints_taken() const { return disk_checkpoints_taken_; }
   int recoveries() const { return recoveries_; }
 
@@ -305,6 +309,8 @@ class Runtime {
   /// element's placement (out-of-range proposals are evicted by the LB).
   void recover_from_disk(int surviving_pes,
                          const std::function<PeId(PeId)>& remap);
+  /// Commit the staged disk write if it has completed by now (inclusive).
+  void commit_finished_disk_write();
 
   // Deliver an envelope to its destination PE at `arrival`.
   void dispatch(EnvIndex env, PeId from_pe, sim::Time send_time);
@@ -375,10 +381,16 @@ class Runtime {
   std::vector<LbStepStats> lb_history_;
 
   // Fault tolerance: the durable checkpoint and the app state stored in it.
+  struct DiskCheckpoint {
+    MemCheckpoint data;
+    std::vector<std::byte> app_state;
+    int pes = 0;  ///< PE count at checkpoint time
+  };
   std::function<void(Pup&)> app_state_pup_;
-  MemCheckpoint disk_checkpoint_;
-  std::vector<std::byte> disk_app_state_;
-  int disk_checkpoint_pes_ = 0;
+  DiskCheckpoint disk_checkpoint_;  ///< last completed write
+  /// The write in flight, staged until it completes at `disk_write_done_at_`.
+  std::optional<DiskCheckpoint> disk_write_;
+  sim::Time disk_write_done_at_ = 0.0;
   int disk_checkpoints_taken_ = 0;
   int recoveries_ = 0;
 };

@@ -4,6 +4,7 @@
 
 #include "common/error.hpp"
 #include "elastic/workload.hpp"
+#include "opk/experiment.hpp"
 #include "schedsim/calibrate.hpp"
 #include "schedsim/simulator.hpp"
 #include "trace/failures.hpp"
@@ -11,46 +12,42 @@
 
 namespace ehpc::scenario {
 
-SchedSimBackend::SchedSimBackend(
-    const ScenarioSpec& spec, elastic::PolicyConfig policy,
-    std::map<elastic::JobClass, elastic::Workload> workloads)
-    : simulator_(spec.total_slots(), policy, std::move(workloads)) {
-  // Load any failure trace into explicit events here, so both substrates
-  // hand the harness the identical resolved plan.
-  simulator_.set_fault_plan(trace::resolve_failure_trace(spec.faults));
-}
+namespace {
 
-schedsim::SimResult SchedSimBackend::run(
-    const std::vector<schedsim::SubmittedJob>& mix) {
-  return simulator_.run(mix);
-}
+/// Emulated-Kubernetes substrate (§4.3.2): every action goes through the
+/// operator, and a fresh `ClusterExperiment` is stood up per run because
+/// that substrate is single-shot by design.
+class ClusterBackend final : public schedsim::ExperimentBackend {
+ public:
+  ClusterBackend(const ScenarioSpec& spec, elastic::PolicyConfig policy,
+                 std::map<elastic::JobClass, elastic::Workload> workloads,
+                 schedsim::FaultPlan faults)
+      : workloads_(std::move(workloads)) {
+    config_.nodes = spec.nodes;
+    config_.cpus_per_node = spec.cpus_per_node;
+    config_.policy = policy;
+    config_.faults = std::move(faults);
+  }
 
-schedsim::SimResult SchedSimBackend::run_stream(trace::TraceSource& source) {
-  return simulator_.run_stream(source);
-}
+  schedsim::SimResult run(
+      const std::vector<schedsim::SubmittedJob>& mix) override {
+    opk::ClusterExperiment experiment(config_, workloads_);
+    return experiment.run(mix);
+  }
 
-ClusterBackend::ClusterBackend(
-    const ScenarioSpec& spec, elastic::PolicyConfig policy,
-    std::map<elastic::JobClass, elastic::Workload> workloads)
-    : workloads_(std::move(workloads)) {
-  config_.nodes = spec.nodes;
-  config_.cpus_per_node = spec.cpus_per_node;
-  config_.policy = policy;
-  config_.faults = trace::resolve_failure_trace(spec.faults);
-}
+  schedsim::SimResult run_stream(trace::TraceSource& source) override {
+    opk::ClusterExperiment experiment(config_, workloads_);
+    return experiment.run_stream(source);
+  }
 
-schedsim::SimResult ClusterBackend::run(
-    const std::vector<schedsim::SubmittedJob>& mix) {
-  opk::ClusterExperiment experiment(config_, workloads_);
-  return experiment.run(mix);
-}
+ private:
+  opk::ExperimentConfig config_;
+  std::map<elastic::JobClass, elastic::Workload> workloads_;
+};
 
-schedsim::SimResult ClusterBackend::run_stream(trace::TraceSource& source) {
-  opk::ClusterExperiment experiment(config_, workloads_);
-  return experiment.run_stream(source);
-}
+}  // namespace
 
-schedsim::SimResult run_seeded(ExperimentBackend& backend,
+schedsim::SimResult run_seeded(schedsim::ExperimentBackend& backend,
                                const ScenarioSpec& spec, unsigned seed) {
   if (spec.is_trace()) {
     auto source = make_trace_source(spec, seed);
@@ -143,13 +140,18 @@ std::unique_ptr<trace::TraceSource> make_trace_source(const ScenarioSpec& spec,
   return std::make_unique<trace::CompositeTraceSource>(std::move(sources));
 }
 
-std::unique_ptr<ExperimentBackend> make_backend(
+std::unique_ptr<schedsim::ExperimentBackend> make_backend(
     const ScenarioSpec& spec, const elastic::PolicyConfig& policy,
     const std::map<elastic::JobClass, elastic::Workload>& workloads) {
+  schedsim::FaultPlan faults = trace::resolve_failure_trace(spec.faults);
   if (spec.substrate == Substrate::kCluster) {
-    return std::make_unique<ClusterBackend>(spec, policy, workloads);
+    return std::make_unique<ClusterBackend>(spec, policy, workloads,
+                                            std::move(faults));
   }
-  return std::make_unique<SchedSimBackend>(spec, policy, workloads);
+  auto simulator = std::make_unique<schedsim::SchedSimulator>(
+      spec.total_slots(), policy, workloads);
+  simulator->set_fault_plan(std::move(faults));
+  return simulator;
 }
 
 }  // namespace ehpc::scenario

@@ -97,12 +97,11 @@ SweepResult run_sweep(const ScenarioSpec& spec, int threads) {
     const ScenarioSpec point = at_axis_value(spec, xs[p]);
     const auto& point_workloads = workloads[workloads.size() == 1 ? 0 : p];
     const unsigned cell_seed = spec.seed + static_cast<unsigned>(r);
+    const auto results = run_policies(point, cell_seed, point_workloads);
     auto& cell = cells[i];
-    cell.resize(num_policies);
-    for (std::size_t k = 0; k < num_policies; ++k) {
-      auto backend = make_backend(point, policy_for(point, spec.policies[k]),
-                                  point_workloads);
-      cell[k] = run_seeded(*backend, point, cell_seed).metrics;
+    cell.reserve(num_policies);
+    for (const PolicyMode mode : spec.policies) {
+      cell.push_back(results.at(mode).metrics);
     }
   });
 
@@ -147,41 +146,14 @@ RunMetrics run_repeats(const ScenarioSpec& spec,
   return elastic::average_metrics(runs);
 }
 
-schedsim::SimResult run_single(const ScenarioSpec& spec, PolicyMode mode,
-                               unsigned mix_seed) {
-  spec.validate();
-  const auto workloads = workloads_for(spec);
-  auto backend = make_backend(spec, policy_for(spec, mode), workloads);
-  return run_seeded(*backend, spec, mix_seed);
-}
-
 std::map<PolicyMode, schedsim::SimResult> run_policies(
-    const ScenarioSpec& spec, const std::vector<schedsim::SubmittedJob>& mix) {
-  return run_policies(spec, mix, workloads_for(spec));
-}
-
-std::map<PolicyMode, schedsim::SimResult> run_policies(
-    const ScenarioSpec& spec, const std::vector<schedsim::SubmittedJob>& mix,
+    const ScenarioSpec& spec, unsigned seed,
     const std::map<elastic::JobClass, elastic::Workload>& workloads) {
   spec.validate();
-  EHPC_EXPECTS(!mix.empty());
   std::map<PolicyMode, schedsim::SimResult> out;
   for (const PolicyMode mode : spec.policies) {
     auto backend = make_backend(spec, policy_for(spec, mode), workloads);
-    out.emplace(mode, backend->run(mix));
-  }
-  return out;
-}
-
-std::map<PolicyMode, schedsim::SimResult> run_policies_stream(
-    const ScenarioSpec& spec, unsigned seed) {
-  spec.validate();
-  const auto workloads = workloads_for(spec);
-  std::map<PolicyMode, schedsim::SimResult> out;
-  for (const PolicyMode mode : spec.policies) {
-    auto backend = make_backend(spec, policy_for(spec, mode), workloads);
-    auto source = make_trace_source(spec, seed);
-    out.emplace(mode, backend->run_stream(*source));
+    out.emplace(mode, run_seeded(*backend, spec, seed));
   }
   return out;
 }

@@ -58,6 +58,24 @@ struct SimResult {
   StreamStats stream;
 };
 
+/// Substrate-agnostic executor of one experiment: hand it a job mix or a
+/// trace, get the run's `SimResult` back. `SchedSimulator` implements it
+/// for the pure simulator and the scenario layer's cluster backend for the
+/// Kubernetes emulation; both share all policy and bookkeeping code through
+/// `ExecHarness`, so the seam only picks how actions are realised.
+class ExperimentBackend {
+ public:
+  virtual ~ExperimentBackend() = default;
+
+  /// Execute one job mix to completion. May be called repeatedly; each call
+  /// is an independent run.
+  virtual SimResult run(const std::vector<SubmittedJob>& mix) = 0;
+
+  /// Replay a streaming trace to completion (see ExecHarness::run_stream).
+  /// May be called repeatedly with a fresh source per call.
+  virtual SimResult run_stream(trace::TraceSource& source) = 0;
+};
+
 /// Per-job execution bookkeeping shared by both experiment substrates
 /// (`SchedSimulator` and `ClusterExperiment`): the workload model, progress
 /// accounting in virtual time, and the lifecycle record.

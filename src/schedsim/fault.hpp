@@ -47,7 +47,7 @@ struct FaultPlan {
   std::vector<DomainCrash> domain_crashes;
 
   /// Optional CSV failure trace (see trace::CsvFailureTraceSource): loaded
-  /// by the scenario backends via trace::resolve_failure_trace, which
+  /// by scenario::make_backend via trace::resolve_failure_trace, which
   /// appends the trace's events to the vectors above and clears this path.
   /// The ExecHarness itself refuses plans with an unresolved path.
   std::string failure_trace_path;

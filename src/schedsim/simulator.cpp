@@ -82,6 +82,10 @@ SimResult SchedSimulator::run(const std::vector<SubmittedJob>& mix) {
   return harness.run(mix);
 }
 
+SimResult SchedSimulator::run_stream(trace::TraceSource& source) {
+  return run_stream(source, nullptr);
+}
+
 SimResult SchedSimulator::run_stream(trace::TraceSource& source,
                                      ExecHarness::RetireObserver observer) {
   sim::Simulation sim;

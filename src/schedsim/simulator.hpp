@@ -21,19 +21,21 @@ namespace ehpc::schedsim {
 ///
 /// A thin shell over the shared `ExecHarness` bookkeeping: every `run()`
 /// spins up a fresh virtual-time simulation, so the object is reusable.
-class SchedSimulator {
+class SchedSimulator final : public ExperimentBackend {
  public:
   SchedSimulator(int total_slots, elastic::PolicyConfig policy,
                  std::map<elastic::JobClass, elastic::Workload> workloads);
 
   /// Simulate one job mix to completion.
-  SimResult run(const std::vector<SubmittedJob>& mix);
+  SimResult run(const std::vector<SubmittedJob>& mix) override;
 
   /// Replay a streaming trace to completion in memory proportional to
-  /// in-flight jobs (see ExecHarness::run_stream). `observer`, if set, sees
-  /// each job's record as it retires.
+  /// in-flight jobs (see ExecHarness::run_stream).
+  SimResult run_stream(trace::TraceSource& source) override;
+
+  /// As above; `observer` sees each job's record as it retires.
   SimResult run_stream(trace::TraceSource& source,
-                       ExecHarness::RetireObserver observer = nullptr);
+                       ExecHarness::RetireObserver observer);
 
   /// Failure-injection plan applied to every subsequent `run()`.
   void set_fault_plan(FaultPlan plan) { fault_plan_ = std::move(plan); }

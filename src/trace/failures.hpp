@@ -44,9 +44,9 @@ class CsvFailureTraceSource {
 /// Resolve `plan.failure_trace_path` into explicit fault events: load the
 /// trace, append its crashes/evictions/domain kills to the plan's event
 /// vectors, and clear the path (the ExecHarness refuses unresolved plans).
-/// A plan with no trace path passes through untouched. Called by the
-/// scenario backends once per run, so both substrates replay the identical
-/// resolved plan.
+/// A plan with no trace path passes through untouched. Called by
+/// `scenario::make_backend` once per backend, so both substrates replay the
+/// identical resolved plan.
 schedsim::FaultPlan resolve_failure_trace(schedsim::FaultPlan plan);
 
 }  // namespace ehpc::trace

@@ -367,5 +367,75 @@ TEST(FaultTolerance, DiskSlowerThanSharedMemory) {
   EXPECT_GT(disk_stage, shm_stage);
 }
 
+// A disk checkpoint becomes the recovery target only when its write
+// completes. A failure strictly inside the write window rolls back to the
+// previous checkpoint: here iteration 8's write dies 0.1 us in, so the run
+// resumes from iteration 4 and iterations 5-8 end twice.
+TEST(FaultRaces, FailureInsideDiskWriteRollsBackToThePreviousCheckpoint) {
+  auto run = [](bool fail) {
+    Runtime rt(pes(4));
+    apps::Jacobi2D app(rt, small_jacobi(12));
+    app.driver().set_disk_checkpoint_period(4);
+    if (fail) {
+      app.driver().at_iteration(8, [](Runtime& r) {
+        r.schedule_external(r.now() + 1e-7,
+                            [](Runtime& r2) { r2.fail_and_recover(); });
+      });
+    }
+    app.start();
+    rt.run();
+    EXPECT_TRUE(app.driver().finished());
+    EXPECT_EQ(rt.recoveries(), fail ? 1 : 0);
+    // Iteration 8's first write never completed, so it is not counted.
+    EXPECT_EQ(rt.disk_checkpoints_taken(), 2);
+    EXPECT_EQ(app.driver().iteration_end_times().size(), fail ? 16u : 12u);
+    return app.residual();
+  };
+  EXPECT_DOUBLE_EQ(run(true), run(false));
+}
+
+// With no earlier checkpoint to fall back on, the same in-window failure is
+// unrecoverable; at exactly the completion instant (inclusive) the new
+// checkpoint is already the recovery target.
+TEST(FaultRaces, DiskWriteCommitsAtItsCompletionInstant) {
+  const double done = [] {
+    Runtime rt(pes(4));
+    apps::Jacobi2D app(rt, small_jacobi(4));
+    double at = -1.0;
+    rt.disk_checkpoint_then([&at](Runtime& r) { at = r.now(); });
+    rt.run();
+    return at;
+  }();
+  ASSERT_GT(done, 0.0);
+
+  Runtime inside(pes(4));
+  apps::Jacobi2D inside_app(inside, small_jacobi(4));
+  bool threw = false;
+  inside.schedule_external(done / 2, [&threw](Runtime& r) {
+    EXPECT_FALSE(r.has_disk_checkpoint());
+    try {
+      r.fail_and_recover();
+    } catch (const PreconditionError&) {
+      threw = true;
+    }
+  });
+  inside.disk_checkpoint_then([](Runtime&) {});
+  inside.run();
+  EXPECT_TRUE(threw);
+  EXPECT_EQ(inside.recoveries(), 0);
+  EXPECT_TRUE(inside.has_disk_checkpoint());  // the write still completed
+
+  // Scheduled before the write starts, the failure event runs ahead of the
+  // write's own completion event at the same instant.
+  Runtime at_end(pes(4));
+  apps::Jacobi2D at_end_app(at_end, small_jacobi(4));
+  at_end.schedule_external(done, [](Runtime& r) { r.fail_and_recover(); });
+  bool resumed = false;
+  at_end.disk_checkpoint_then([&resumed](Runtime&) { resumed = true; });
+  EXPECT_NO_THROW(at_end.run());
+  EXPECT_EQ(at_end.recoveries(), 1);
+  EXPECT_FALSE(resumed);  // the recovery's restart handler resumes instead
+}
+
 }  // namespace
 }  // namespace ehpc::charm

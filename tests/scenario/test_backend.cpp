@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <string>
+
+#include "expect_identical.hpp"
+#include "schedsim/simulator.hpp"
+#include "trace/failures.hpp"
+
 namespace ehpc::scenario {
 namespace {
 
@@ -51,21 +58,36 @@ TEST(ScenarioBackend, MixRespectsSpecJobCountAndGap) {
   EXPECT_DOUBLE_EQ(mix[8].submit_time, 8 * 30.0);
 }
 
-TEST(ScenarioBackend, SchedSimBackendMatchesDirectSimulator) {
-  const ScenarioSpec spec = fast_spec();
+// On the simulator substrate make_backend is a SchedSimulator carrying the
+// spec's fault plan, its failure trace resolved into explicit events, for
+// both the batch and the streaming entry point.
+TEST(ScenarioBackend, MakeBackendMatchesDirectSimulator) {
+  const std::string path = ::testing::TempDir() + "backend_outage.csv";
+  std::ofstream(path, std::ios::trunc) << "200,crash\n350,evict\n";
+  ScenarioSpec spec = fast_spec();
+  spec.trace_jobs = 8;  // a trace spec streams; make_mix still reads num_jobs
+  spec.faults.checkpoint_period_s = 120.0;
+  spec.faults.failure_trace_path = path;
   const auto workloads = workloads_for(spec);
-  const auto mix = make_mix(spec, 2025);
   const auto policy = policy_for(spec, PolicyMode::kElastic);
-
   auto backend = make_backend(spec, policy, workloads);
-  const auto via_backend = backend->run(mix);
-
   schedsim::SchedSimulator simulator(spec.total_slots(), policy, workloads);
-  const auto direct = simulator.run(mix);
+  simulator.set_fault_plan(trace::resolve_failure_trace(spec.faults));
 
-  EXPECT_DOUBLE_EQ(via_backend.metrics.total_time_s, direct.metrics.total_time_s);
-  EXPECT_DOUBLE_EQ(via_backend.metrics.utilization, direct.metrics.utilization);
+  const auto mix = make_mix(spec, 2025);
+  const auto via_backend = backend->run(mix);
+  const auto direct = simulator.run(mix);
+  EXPECT_GT(direct.metrics.failures, 0.0);  // the trace's crash landed
+  expect_identical(via_backend.metrics, direct.metrics, "run");
   EXPECT_EQ(via_backend.rescale_count, direct.rescale_count);
+
+  const auto streamed = backend->run_stream(*make_trace_source(spec, 2025));
+  const auto direct_streamed =
+      simulator.run_stream(*make_trace_source(spec, 2025));
+  EXPECT_GT(direct_streamed.metrics.failures, 0.0);
+  expect_identical(streamed.metrics, direct_streamed.metrics, "run_stream");
+  EXPECT_EQ(streamed.stream.jobs_submitted, 8);
+  EXPECT_EQ(streamed.rescale_count, direct_streamed.rescale_count);
 }
 
 TEST(ScenarioBackend, BackendIsReusableAndDeterministic) {

@@ -118,14 +118,18 @@ TEST(TraceScenarios, CronIsDeterministicAndPlacementIndependent) {
   spec.policies = {PolicyMode::kElastic};
   spec.repeats = 1;
 
-  const auto sched_a = run_single(spec, PolicyMode::kElastic, spec.seed);
-  const auto sched_b = run_single(spec, PolicyMode::kElastic, spec.seed);
+  const auto workloads = workloads_for(spec);
+  const auto sched_a =
+      run_policies(spec, spec.seed, workloads).at(PolicyMode::kElastic);
+  const auto sched_b =
+      run_policies(spec, spec.seed, workloads).at(PolicyMode::kElastic);
   EXPECT_EQ(sched_a.stream.jobs_submitted, 6);
   expect_identical(sched_a.metrics, sched_b.metrics, "schedsim cron");
 
   ScenarioSpec cluster = spec;
   cluster.substrate = Substrate::kCluster;
-  const auto clus = run_single(cluster, PolicyMode::kElastic, cluster.seed);
+  const auto clus =
+      run_policies(cluster, cluster.seed, workloads).at(PolicyMode::kElastic);
   EXPECT_EQ(clus.stream.jobs_submitted, 6);
   // The cluster substrate pays operator/pod overheads, so metrics differ —
   // but every cron job must be accounted for identically.
@@ -144,7 +148,8 @@ TEST(TraceScenarios, CompositeSyntheticPlusCronRunsOnBothSubstrates) {
   for (const Substrate substrate :
        {Substrate::kSchedSim, Substrate::kCluster}) {
     spec.substrate = substrate;
-    const auto result = run_single(spec, PolicyMode::kElastic, spec.seed);
+    const auto result = run_policies(spec, spec.seed, workloads_for(spec))
+                            .at(PolicyMode::kElastic);
     EXPECT_EQ(result.stream.jobs_submitted, 15) << to_string(substrate);
     EXPECT_TRUE(result.jobs.empty()) << to_string(substrate);
   }
@@ -163,7 +168,8 @@ TEST(TraceScenarios, PriorityTiesBreakByJobId) {
   spec.calibrated = false;
   spec.policies = {PolicyMode::kRigidMin};
   spec.repeats = 1;
-  const auto result = run_single(spec, PolicyMode::kRigidMin, spec.seed);
+  const auto result = run_policies(spec, spec.seed, workloads_for(spec))
+                          .at(PolicyMode::kRigidMin);
   EXPECT_EQ(result.stream.jobs_submitted, 8);
   // All 8 small jobs (min width 2) fit in 64 slots: none abandon, none wait
   // out of order. Streaming retires records, so assert via the counters.
