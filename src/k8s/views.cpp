@@ -14,7 +14,40 @@ bool claims_resources(const Pod& pod) {
   return pod.phase != PodPhase::kSucceeded && pod.phase != PodPhase::kFailed;
 }
 
-const std::set<std::string> kEmptySet;
+/// What a pod image claims: its request while not finished, else nothing.
+Resources claim_of(const Pod* pod) {
+  return pod != nullptr && claims_resources(*pod) ? pod->request
+                                                  : Resources{};
+}
+
+std::size_t phase_index(PodPhase phase) {
+  return static_cast<std::size_t>(phase);
+}
+
+/// Walk two label maps in key order and report each (key, value) pair only
+/// in `before` to `gone` and each pair only in `after` to `fresh`. A key
+/// whose value changed reports both.
+template <typename Gone, typename Fresh>
+void diff_labels(const std::map<std::string, std::string>& before,
+                 const std::map<std::string, std::string>& after, Gone&& gone,
+                 Fresh&& fresh) {
+  auto b = before.begin();
+  auto a = after.begin();
+  while (b != before.end() || a != after.end()) {
+    if (a == after.end() || (b != before.end() && *b < *a)) {
+      gone(*b++);
+    } else if (b == before.end() || *a < *b) {
+      fresh(*a++);
+    } else {
+      ++b;
+      ++a;
+    }
+  }
+}
+
+const std::map<std::string, std::string> kNoLabels;
+const std::string kUnbound;
+const std::map<std::string, const Pod*> kNoPods;
 
 }  // namespace
 
@@ -24,15 +57,15 @@ ClusterIndex::ClusterIndex(ObjectStore<Node>& nodes, ObjectStore<Pod>& pods) {
     on_node_event(WatchEvent::kAdded, nullptr, node);
   }
   for (const Pod* pod : pods.list()) {
-    on_pod_event(WatchEvent::kAdded, nullptr, pod);
+    apply(nullptr, pod);
   }
   nodes.attach_view([this](WatchEvent event, const Node* before,
                            const Node* after) {
     on_node_event(event, before, after);
   });
   pods.attach_view(
-      [this](WatchEvent event, const Pod* before, const Pod* after) {
-        on_pod_event(event, before, after);
+      [this](WatchEvent, const Pod* before, const Pod* after) {
+        apply(before, after);
       });
 }
 
@@ -87,56 +120,100 @@ void ClusterIndex::on_node_event(WatchEvent event, const Node* before,
   (void)event;
 }
 
-void ClusterIndex::add_pod_contribution(const Pod& pod) {
-  by_phase_[pod.phase].insert(pod.meta.name);
-  for (const auto& [key, value] : pod.meta.labels) {
-    by_label_[{key, value}].insert(pod.meta.name);
+void ClusterIndex::apply(const Pod* before, const Pod* after) {
+  const std::string& name = (after != nullptr ? after : before)->meta.name;
+
+  // Phase: splice the name's set node across, without reallocating it.
+  if (before == nullptr) {
+    by_phase_[phase_index(after->phase)].insert(name);
+  } else if (after == nullptr) {
+    by_phase_[phase_index(before->phase)].erase(name);
+  } else if (before->phase != after->phase) {
+    by_phase_[phase_index(after->phase)].insert(
+        by_phase_[phase_index(before->phase)].extract(name));
   }
-  if (claims_resources(pod)) used_cpus_ += pod.request.cpus;
-  if (pod.node_name.empty()) return;
-  NodeEntry& entry = entry_for(pod.node_name);
-  bucket_erase(pod.node_name, entry);
-  ++entry.bound_pods;
-  if (claims_resources(pod)) {
-    entry.used = entry.used + pod.request;
-    bound_cpus_ += pod.request.cpus;
+
+  // Labels. A modification keeps the pod's store element, so the entries
+  // of unchanged pairs already point at `after`.
+  const auto& labels_before = before != nullptr ? before->meta.labels
+                                                : kNoLabels;
+  const auto& labels_after = after != nullptr ? after->meta.labels
+                                              : kNoLabels;
+  const bool relabelled = before == nullptr || after == nullptr ||
+                          labels_before != labels_after;
+  if (relabelled) {
+    diff_labels(
+        labels_before, labels_after,
+        [&](const auto& pair) {
+          auto it = by_label_.find({pair.first, pair.second});
+          it->second.erase(name);
+          if (it->second.empty()) by_label_.erase(it);
+        },
+        [&](const auto& pair) {
+          by_label_[{pair.first, pair.second}].emplace(name, after);
+        });
   }
-  for (const auto& [key, value] : pod.meta.labels) {
-    ++label_nodes_[{key, value}][pod.node_name];
+
+  // Claims: the cluster aggregate, then the node share of a bound pod.
+  const Resources claim_before = claim_of(before);
+  const Resources claim_after = claim_of(after);
+  used_cpus_ += claim_after.cpus - claim_before.cpus;
+  const std::string& node_before =
+      before != nullptr ? before->node_name : kUnbound;
+  const std::string& node_after =
+      after != nullptr ? after->node_name : kUnbound;
+  if (node_before != node_after) {
+    if (!node_before.empty()) {
+      place(node_before, claim_before, labels_before, -1);
+    }
+    if (!node_after.empty()) place(node_after, claim_after, labels_after, 1);
+    return;
   }
-  bucket_insert(pod.node_name, entry);
+  if (node_after.empty()) return;
+  if (claim_before != claim_after) {
+    NodeEntry& entry = entry_for(node_after);
+    bucket_erase(node_after, entry);
+    entry.used = entry.used - claim_before + claim_after;
+    bound_cpus_ += claim_after.cpus - claim_before.cpus;
+    bucket_insert(node_after, entry);
+  }
+  if (relabelled) {
+    diff_labels(
+        labels_before, labels_after,
+        [&](const auto& pair) {
+          count_label_on_node(pair.first, pair.second, node_after, -1);
+        },
+        [&](const auto& pair) {
+          count_label_on_node(pair.first, pair.second, node_after, 1);
+        });
+  }
 }
 
-void ClusterIndex::remove_pod_contribution(const Pod& pod) {
-  by_phase_[pod.phase].erase(pod.meta.name);
-  for (const auto& [key, value] : pod.meta.labels) {
-    auto it = by_label_.find({key, value});
-    it->second.erase(pod.meta.name);
-    if (it->second.empty()) by_label_.erase(it);
+void ClusterIndex::place(const std::string& node, const Resources& claim,
+                         const std::map<std::string, std::string>& labels,
+                         int sign) {
+  NodeEntry& entry = entry_for(node);
+  entry.bound_pods += sign;
+  if (claim != Resources{}) {
+    bucket_erase(node, entry);
+    entry.used = sign > 0 ? entry.used + claim : entry.used - claim;
+    bound_cpus_ += sign * claim.cpus;
+    bucket_insert(node, entry);
   }
-  if (claims_resources(pod)) used_cpus_ -= pod.request.cpus;
-  if (pod.node_name.empty()) return;
-  NodeEntry& entry = entry_for(pod.node_name);
-  bucket_erase(pod.node_name, entry);
-  --entry.bound_pods;
-  if (claims_resources(pod)) {
-    entry.used = entry.used - pod.request;
-    bound_cpus_ -= pod.request.cpus;
+  for (const auto& [key, value] : labels) {
+    count_label_on_node(key, value, node, sign);
   }
-  for (const auto& [key, value] : pod.meta.labels) {
-    auto ln = label_nodes_.find({key, value});
-    auto node_it = ln->second.find(pod.node_name);
-    if (--node_it->second == 0) ln->second.erase(node_it);
-    if (ln->second.empty()) label_nodes_.erase(ln);
-  }
-  bucket_insert(pod.node_name, entry);
 }
 
-void ClusterIndex::on_pod_event(WatchEvent event, const Pod* before,
-                                const Pod* after) {
-  (void)event;
-  if (before != nullptr) remove_pod_contribution(*before);
-  if (after != nullptr) add_pod_contribution(*after);
+void ClusterIndex::count_label_on_node(const std::string& key,
+                                       const std::string& value,
+                                       const std::string& node, int delta) {
+  auto pair = label_nodes_.try_emplace({key, value}).first;
+  auto count = pair->second.try_emplace(node, 0).first;
+  count->second += delta;
+  if (count->second != 0) return;
+  pair->second.erase(count);
+  if (pair->second.empty()) label_nodes_.erase(pair);
 }
 
 Resources ClusterIndex::used_on(const std::string& node) const {
@@ -153,14 +230,13 @@ int ClusterIndex::colocated(const std::string& node, const std::string& key,
 }
 
 const std::set<std::string>& ClusterIndex::pods_in_phase(PodPhase phase) const {
-  auto it = by_phase_.find(phase);
-  return it == by_phase_.end() ? kEmptySet : it->second;
+  return by_phase_[phase_index(phase)];
 }
 
-const std::set<std::string>& ClusterIndex::pods_with_label(
+const std::map<std::string, const Pod*>& ClusterIndex::pods_with_label(
     const std::string& key, const std::string& value) const {
   auto it = by_label_.find({key, value});
-  return it == by_label_.end() ? kEmptySet : it->second;
+  return it == by_label_.end() ? kNoPods : it->second;
 }
 
 std::string ClusterIndex::best_node(const Pod& pod, bool prefer_packed,

@@ -9,6 +9,11 @@
 
 namespace ehpc::opk {
 
+bool is_worker_pod(const k8s::Pod& pod) {
+  auto role = pod.meta.labels.find("role");
+  return role != pod.meta.labels.end() && role->second == "worker";
+}
+
 std::string to_string(CharmJobPhase phase) {
   switch (phase) {
     case CharmJobPhase::kQueued: return "Queued";
@@ -41,9 +46,7 @@ CharmJobController::CharmJobController(k8s::Cluster& cluster,
       // deletion (node-group kill), not one of ours: shrink only removes
       // ranks >= desired and completion teardown runs with the job already
       // Completed. Heal by re-reconciling so the rank is recreated.
-      auto role = pod.meta.labels.find("role");
-      if (role != pod.meta.labels.end() && role->second == "worker" &&
-          jobs_.contains(job_name)) {
+      if (is_worker_pod(pod) && jobs_.contains(job_name)) {
         const CharmJob& job = jobs_.get(job_name);
         if (job.phase != CharmJobPhase::kCompleted &&
             job.desired_replicas > 0 &&
@@ -82,12 +85,31 @@ void CharmJobController::reconcile(const std::string& job_name) {
   const auto& owned = cluster_.index().pods_with_label("job", job_name);
   if (job.phase == CharmJobPhase::kCompleted) {
     // Tear down every pod of the job (workers and launcher). Copy the
-    // names: delete_pod mutates the store, which rewrites the index sets.
-    const std::vector<std::string> names(owned.begin(), owned.end());
+    // names: delete_pod mutates the store, which rewrites the index.
+    std::vector<std::string> names;
+    names.reserve(owned.size());
+    for (const auto& [name, pod] : owned) names.push_back(name);
     for (const std::string& name : names) cluster_.delete_pod(name);
     return;
   }
   if (job.desired_replicas <= 0) return;
+
+  // Worker pods are rank-addressed (`<job>-worker-<rank>`); ranks >= desired
+  // are surplus. One pass over the job's pods finds both the wanted ranks
+  // that have a pod (a Terminating one included: its rank is recreated
+  // once it is removed) and the surplus workers, in the index's name order.
+  const int desired = job.desired_replicas;
+  std::vector<bool> present(static_cast<std::size_t>(desired), false);
+  std::vector<std::string> surplus;
+  for (const auto& [name, pod] : owned) {
+    if (!is_worker_pod(*pod)) continue;
+    const int rank = pod_rank(name);
+    if (rank >= desired) {
+      surplus.push_back(name);
+    } else {
+      present[static_cast<std::size_t>(rank)] = true;
+    }
+  }
 
   // The launcher pod (mpirun home) requests no CPU so it never competes
   // with worker slots, mirroring the paper's testbed where the launcher
@@ -102,16 +124,10 @@ void CharmJobController::reconcile(const std::string& job_name) {
     cluster_.create_pod(std::move(pod));
   }
 
-  // Worker pods are rank-addressed; ranks >= desired are surplus.
-  for (int rank = 0; rank < job.desired_replicas; ++rank) {
-    const std::string name = pod_name(job_name, rank);
-    const k8s::Pod* existing = cluster_.pods().find(name);
-    if (existing != nullptr && existing->phase != k8s::PodPhase::kTerminating) {
-      continue;
-    }
-    if (existing != nullptr) continue;  // terminating: wait for removal
+  for (int rank = 0; rank < desired; ++rank) {
+    if (present[static_cast<std::size_t>(rank)]) continue;
     k8s::Pod pod;
-    pod.meta.name = name;
+    pod.meta.name = pod_name(job_name, rank);
     pod.meta.labels["job"] = job_name;
     pod.meta.labels["role"] = "worker";
     pod.request = {1, 512};  // one vCPU per worker (non-SMP: 1 PE/replica)
@@ -119,18 +135,10 @@ void CharmJobController::reconcile(const std::string& job_name) {
     pod.affinity_value = job_name;
     cluster_.create_pod(std::move(pod));
   }
-  // Delete surplus ranks (highest first, matching shrink semantics: the
-  // runtime has already evacuated those PEs before we get here).
-  {
-    const std::vector<std::string> names(owned.begin(), owned.end());
-    for (const std::string& name : names) {
-      const k8s::Pod* pod = cluster_.pods().find(name);
-      if (pod == nullptr) continue;
-      auto rt = pod->meta.labels.find("role");
-      if (rt == pod->meta.labels.end() || rt->second != "worker") continue;
-      if (pod_rank(name) >= job.desired_replicas) cluster_.delete_pod(name);
-    }
-  }
+  // Delete surplus ranks in the label index's name order, so "-worker-10"
+  // goes before "-worker-5" (CharmJobController.PodEventSequenceGolden pins
+  // it). The runtime has already evacuated those PEs before we get here.
+  for (const std::string& name : surplus) cluster_.delete_pod(name);
   update_readiness(job_name);
 }
 
@@ -140,12 +148,9 @@ void CharmJobController::update_readiness(const std::string& job_name) {
   int running = 0;
   std::vector<std::string> nodelist;
   // Reads only — pod mutations cannot happen under us here.
-  for (const std::string& name :
+  for (const auto& [name, pod] :
        cluster_.index().pods_with_label("job", job_name)) {
-    const k8s::Pod* pod = cluster_.pods().find(name);
-    auto rt = pod->meta.labels.find("role");
-    if (rt == pod->meta.labels.end() || rt->second != "worker") continue;
-    if (pod->phase == k8s::PodPhase::kRunning) {
+    if (is_worker_pod(*pod) && pod->phase == k8s::PodPhase::kRunning) {
       ++running;
       nodelist.push_back(name);
     }

@@ -11,6 +11,10 @@
 
 namespace ehpc::opk {
 
+/// True for the operator's worker pods (label role=worker), as opposed to
+/// a job's launcher pod.
+bool is_worker_pod(const k8s::Pod& pod);
+
 struct ControllerConfig {
   /// Delay between a watch event and the reconcile that reacts to it
   /// (work-queue + API round-trips of a real controller).

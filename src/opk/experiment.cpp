@@ -220,22 +220,16 @@ class ClusterExperiment::Harness final : public schedsim::ExecHarness {
                        const std::vector<JobId>& victims) override {
     for (JobId id : victims) {
       schedsim::JobExec& exec = this->exec(id);
-      const auto& owned =
-          owner_.cluster_.index().pods_with_label("job", exec.job_name);
-      // Copy the names: delete_pod mutates the store, which rewrites the
-      // index sets.
-      const std::vector<std::string> names(owned.begin(), owned.end());
-      for (const std::string& name : names) {
-        const k8s::Pod* pod = owner_.cluster_.pods().find(name);
-        if (pod == nullptr || pod->phase == k8s::PodPhase::kTerminating) {
-          continue;
+      // Collect first: delete_pod mutates the store, which rewrites the
+      // index.
+      std::vector<std::string> names;
+      for (const auto& [name, pod] :
+           owner_.cluster_.index().pods_with_label("job", exec.job_name)) {
+        if (pod->phase != k8s::PodPhase::kTerminating && is_worker_pod(*pod)) {
+          names.push_back(name);
         }
-        auto role = pod->meta.labels.find("role");
-        if (role == pod->meta.labels.end() || role->second != "worker") {
-          continue;
-        }
-        owner_.cluster_.delete_pod(name);
       }
+      for (const std::string& name : names) owner_.cluster_.delete_pod(name);
     }
     EHPC_DEBUG("opk", "domain %d crash deleted the pods of %zu jobs at t=%.1f",
                domain, victims.size(), sim().now());

@@ -68,6 +68,12 @@ std::string reference_best_node(const ObjectStore<Node>& nodes,
   return best;
 }
 
+/// Every label pair the battery hands out.
+const std::vector<std::pair<std::string, std::string>> kLabelPairs = {
+    {"job", "job-0"}, {"job", "job-1"}, {"job", "job-2"},
+    {"tier", "a"},    {"tier", "b"},
+};
+
 struct Battery {
   sim::Simulation sim;  // watch delivery only; the index is a view
   ObjectStore<Node> nodes{sim};
@@ -89,18 +95,14 @@ struct Battery {
 
     for (const Node* node : nodes.list()) {
       Resources expect;
-      int colocated = 0;
       for (const Pod* pod : pods.list()) {
-        if (pod->node_name != node->meta.name) continue;
-        if (claims_resources(*pod)) expect = expect + pod->request;
-        auto it = pod->meta.labels.find("job");
-        if (it != pod->meta.labels.end() && it->second == "job-1") ++colocated;
+        if (pod->node_name == node->meta.name && claims_resources(*pod)) {
+          expect = expect + pod->request;
+        }
       }
       const Resources got = index.used_on(node->meta.name);
       ASSERT_EQ(got.cpus, expect.cpus) << node->meta.name;
       ASSERT_EQ(got.memory_mib, expect.memory_mib) << node->meta.name;
-      ASSERT_EQ(index.colocated(node->meta.name, "job", "job-1"), colocated)
-          << node->meta.name;
     }
 
     for (const PodPhase phase :
@@ -113,16 +115,33 @@ struct Battery {
       ASSERT_EQ(index.pods_in_phase(phase), expect) << to_string(phase);
     }
 
-    for (int j = 0; j < 3; ++j) {
-      const std::string value = "job-" + std::to_string(j);
+    for (const auto& [key, value] : kLabelPairs) {
       std::set<std::string> expect;
       for (const Pod* pod : pods.list()) {
-        auto it = pod->meta.labels.find("job");
+        auto it = pod->meta.labels.find(key);
         if (it != pod->meta.labels.end() && it->second == value) {
           expect.insert(pod->meta.name);
         }
       }
-      ASSERT_EQ(index.pods_with_label("job", value), expect) << value;
+      const auto& got = index.pods_with_label(key, value);
+      std::set<std::string> names;
+      for (const auto& [name, pod] : got) {
+        names.insert(name);
+        // The entry points at the store's own element, not at a copy.
+        ASSERT_TRUE(pods.contains(name)) << name;
+        ASSERT_EQ(pod, &pods.get(name)) << key << "=" << value << " " << name;
+      }
+      ASSERT_EQ(names, expect) << key << "=" << value;
+
+      // Affinity counts: bound pods of any phase carrying the pair.
+      for (const Node* node : nodes.list()) {
+        int colocated = 0;
+        for (const std::string& name : expect) {
+          if (pods.get(name).node_name == node->meta.name) ++colocated;
+        }
+        ASSERT_EQ(index.colocated(node->meta.name, key, value), colocated)
+            << node->meta.name << " " << key << "=" << value;
+      }
     }
   }
 
@@ -132,8 +151,10 @@ struct Battery {
     probe.request = {static_cast<int>(rng.uniform_int(0, 3)), 256};
     for (const bool with_affinity : {false, true}) {
       if (with_affinity) {
-        probe.affinity_key = "job";
-        probe.affinity_value = "job-" + std::to_string(rng.uniform_int(0, 2));
+        const auto& [key, value] = kLabelPairs[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<int>(kLabelPairs.size()) - 1))];
+        probe.affinity_key = key;
+        probe.affinity_value = value;
       }
       for (const bool packed : {false, true}) {
         ASSERT_EQ(index.best_node(probe, packed, 0.5),
@@ -150,11 +171,18 @@ TEST(ClusterIndex, MatchesBruteForceUnderRandomMutations) {
   ClusterIndex index(b.nodes, b.pods);
   Rng rng(20250807);
   int pod_counter = 0;
+  // How often each delta-only mutation actually changed something.
+  int relabels = 0, request_changes = 0, node_moves = 0, unbinds = 0,
+      unbound_claim_flips = 0;
 
-  for (int step = 0; step < 600; ++step) {
-    const int op = static_cast<int>(rng.uniform_int(0, 9));
+  for (int step = 0; step < 1200; ++step) {
+    const int op = static_cast<int>(rng.uniform_int(0, 13));
     const auto node_names = b.nodes.list();
     const auto pod_names = b.pods.list();
+    const auto random_pod = [&]() -> const Pod& {
+      return *pod_names[static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<int>(pod_names.size()) - 1))];
+    };
     switch (op) {
       case 0: {  // add a node
         Node node;
@@ -189,6 +217,7 @@ TEST(ClusterIndex, MatchesBruteForceUnderRandomMutations) {
           pod.meta.labels["job"] =
               "job-" + std::to_string(rng.uniform_int(0, 2));
         }
+        if (rng.uniform_int(0, 1) > 0) pod.meta.labels["tier"] = "a";
         b.pods.add(pod);
         break;
       }
@@ -223,6 +252,66 @@ TEST(ClusterIndex, MatchesBruteForceUnderRandomMutations) {
                 0, static_cast<int>(pod_names.size()) - 1))]->meta.name);
         break;
       }
+      case 9: {  // relabel a pod through update(): the job, the tier or both
+        if (pod_names.empty()) break;
+        Pod pod = random_pod();
+        const auto labels = pod.meta.labels;
+        const int job = static_cast<int>(rng.uniform_int(0, 3));
+        if (job == 3) {
+          pod.meta.labels.erase("job");
+        } else {
+          pod.meta.labels["job"] = "job-" + std::to_string(job);
+        }
+        const int tier = static_cast<int>(rng.uniform_int(0, 2));
+        if (tier == 2) {
+          pod.meta.labels.erase("tier");
+        } else {
+          pod.meta.labels["tier"] = tier == 0 ? "a" : "b";
+        }
+        if (pod.meta.labels != labels) ++relabels;
+        b.pods.update(pod);
+        break;
+      }
+      case 10: {  // change a pod's request (CPUs, memory or both)
+        if (pod_names.empty()) break;
+        const Pod& pod = random_pod();
+        const Resources request{static_cast<int>(rng.uniform_int(0, 3)),
+                                rng.uniform_int(0, 1) > 0 ? 256 : 512};
+        if (!(request == pod.request)) ++request_changes;
+        b.pods.mutate(pod.meta.name, [&](Pod& p) { p.request = request; });
+        break;
+      }
+      case 11: {  // move a bound pod to another (possibly absent) node, or
+                 // unbind it; the phase stays
+        if (pod_names.empty()) break;
+        const Pod& pod = random_pod();
+        if (pod.node_name.empty()) break;
+        const std::string node =
+            rng.uniform_int(0, 3) == 0
+                ? ""
+                : "node-" + std::to_string(rng.uniform_int(0, 11));
+        if (node.empty()) {
+          ++unbinds;
+        } else if (node != pod.node_name) {
+          ++node_moves;
+        }
+        b.pods.mutate(pod.meta.name, [&](Pod& p) { p.node_name = node; });
+        break;
+      }
+      case 12: {  // move an unbound pod between claiming and finished phases
+        if (pod_names.empty()) break;
+        const Pod& pod = random_pod();
+        if (!pod.node_name.empty()) break;
+        const PodPhase phase =
+            claims_resources(pod)
+                ? (rng.uniform_int(0, 1) > 0 ? PodPhase::kSucceeded
+                                             : PodPhase::kFailed)
+                : (rng.uniform_int(0, 1) > 0 ? PodPhase::kPending
+                                             : PodPhase::kTerminating);
+        ++unbound_claim_flips;
+        b.pods.mutate(pod.meta.name, [&](Pod& p) { p.phase = phase; });
+        break;
+      }
       default: {  // update a node's capacity wholesale
         if (node_names.empty()) break;
         Node node = *node_names[static_cast<std::size_t>(rng.uniform_int(
@@ -235,8 +324,14 @@ TEST(ClusterIndex, MatchesBruteForceUnderRandomMutations) {
     ASSERT_NO_FATAL_FAILURE(b.check(index)) << "step " << step;
     ASSERT_NO_FATAL_FAILURE(b.check_placement(index, rng)) << "step " << step;
   }
-  // The battery must actually have exercised placement.
+  // The battery must actually have exercised placement and every delta
+  // case.
   EXPECT_GT(index.stats().placement_queries, 0);
+  EXPECT_GT(relabels, 0);
+  EXPECT_GT(request_changes, 0);
+  EXPECT_GT(node_moves, 0);
+  EXPECT_GT(unbinds, 0);
+  EXPECT_GT(unbound_claim_flips, 0);
 }
 
 TEST(ClusterIndex, BootstrapsFromNonEmptyStores) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -13,7 +14,9 @@ struct Fixture {
   k8s::ObjectStore<CharmJob> jobs{cluster.sim()};
   CharmJobController controller{cluster, jobs, ControllerConfig{}};
 
-  Fixture() { cluster.add_nodes("node", 4, {16, 32768}); }
+  explicit Fixture(int cpus_per_node = 16) {
+    cluster.add_nodes("node", 4, {cpus_per_node, 32768});
+  }
 
   CharmJob make_job(const std::string& name, int replicas) {
     CharmJob job;
@@ -183,6 +186,165 @@ TEST(CharmJobController, CompletedJobDeletionsAreNotHealed) {
   f.cluster.sim().run();
   EXPECT_EQ(f.worker_pods("j1", k8s::PodPhase::kRunning), 0);
   EXPECT_EQ(f.cluster.used_cpus(), 0);
+}
+
+/// Every pod-store watch event of one scripted job, one line each:
+/// "<virtual time> <A|M|D> <pod> <phase> <node or ->". Pins creation order
+/// (rank order), surplus deletion order (label-index name order, so
+/// "-worker-10" goes before "-worker-5"), heal order and watch coalescing.
+std::vector<std::string> scripted_pod_events() {
+  Fixture f(6);  // 6-CPU nodes: the job's ranks span three of them
+  std::vector<std::string> log;
+  f.cluster.pods().watch([&](k8s::WatchEvent event, const k8s::Pod& pod) {
+    const char* kind = event == k8s::WatchEvent::kAdded      ? "A"
+                       : event == k8s::WatchEvent::kModified ? "M"
+                                                             : "D";
+    char time[32];
+    std::snprintf(time, sizeof time, "%.3f", f.cluster.sim().now());
+    log.push_back(std::string(time) + " " + kind + " " + pod.meta.name + " " +
+                  k8s::to_string(pod.phase) + " " +
+                  (pod.node_name.empty() ? "-" : pod.node_name));
+  });
+  auto& sim = f.cluster.sim();
+  f.jobs.add(f.make_job("j1", 12));
+  sim.run();
+  f.jobs.mutate("j1", [](CharmJob& j) { j.desired_replicas = 5; });
+  sim.run_until(sim.now() + 0.5);  // ranks 5-11 are Terminating, not gone
+  EXPECT_EQ(f.worker_pods("j1", k8s::PodPhase::kTerminating), 7);
+  f.jobs.mutate("j1", [](CharmJob& j) { j.desired_replicas = 14; });
+  sim.run();
+  EXPECT_EQ(f.worker_pods("j1", k8s::PodPhase::kRunning), 14);
+  f.cluster.delete_pod("j1-worker-3");  // involuntary: healed
+  sim.run();
+  EXPECT_EQ(f.worker_pods("j1", k8s::PodPhase::kRunning), 14);
+  f.jobs.mutate("j1", [](CharmJob& j) { j.phase = CharmJobPhase::kCompleted; });
+  sim.run();
+  EXPECT_EQ(f.cluster.pods().size(), 0u);
+  return log;
+}
+
+TEST(CharmJobController, PodEventSequenceGolden) {
+  // Launch 12 ranks, shrink to 5, expand to 14 while ranks 5-11 are still
+  // Terminating (they are recreated once removed), lose rank 3
+  // involuntarily (healed), then complete the job.
+  const std::vector<std::string> want = {
+      "0.200 A j1-launcher Pending -",
+      "0.200 A j1-worker-0 Pending -",
+      "0.200 A j1-worker-1 Pending -",
+      "0.200 A j1-worker-2 Pending -",
+      "0.200 A j1-worker-3 Pending -",
+      "0.200 A j1-worker-4 Pending -",
+      "0.200 A j1-worker-5 Pending -",
+      "0.200 A j1-worker-6 Pending -",
+      "0.200 A j1-worker-7 Pending -",
+      "0.200 A j1-worker-8 Pending -",
+      "0.200 A j1-worker-9 Pending -",
+      "0.200 A j1-worker-10 Pending -",
+      "0.200 A j1-worker-11 Pending -",
+      "0.250 M j1-launcher Scheduled node-0",
+      "0.250 M j1-worker-0 Scheduled node-0",
+      "0.250 M j1-worker-1 Scheduled node-0",
+      "0.250 M j1-worker-2 Scheduled node-0",
+      "0.250 M j1-worker-3 Scheduled node-0",
+      "0.250 M j1-worker-4 Scheduled node-0",
+      "0.250 M j1-worker-5 Scheduled node-0",
+      "0.250 M j1-worker-6 Scheduled node-1",
+      "0.250 M j1-worker-7 Scheduled node-1",
+      "0.250 M j1-worker-8 Scheduled node-1",
+      "0.250 M j1-worker-9 Scheduled node-1",
+      "0.250 M j1-worker-10 Scheduled node-1",
+      "0.250 M j1-worker-11 Scheduled node-1",
+      "2.250 M j1-launcher Running node-0",
+      "2.250 M j1-worker-0 Running node-0",
+      "2.250 M j1-worker-1 Running node-0",
+      "2.250 M j1-worker-2 Running node-0",
+      "2.250 M j1-worker-3 Running node-0",
+      "2.250 M j1-worker-4 Running node-0",
+      "2.250 M j1-worker-5 Running node-0",
+      "2.250 M j1-worker-6 Running node-1",
+      "2.250 M j1-worker-7 Running node-1",
+      "2.250 M j1-worker-8 Running node-1",
+      "2.250 M j1-worker-9 Running node-1",
+      "2.250 M j1-worker-10 Running node-1",
+      "2.250 M j1-worker-11 Running node-1",
+      "2.650 M j1-worker-10 Terminating node-1",
+      "2.650 M j1-worker-11 Terminating node-1",
+      "2.650 M j1-worker-5 Terminating node-0",
+      "2.650 M j1-worker-6 Terminating node-1",
+      "2.650 M j1-worker-7 Terminating node-1",
+      "2.650 M j1-worker-8 Terminating node-1",
+      "2.650 M j1-worker-9 Terminating node-1",
+      "3.150 A j1-worker-12 Pending -",
+      "3.150 A j1-worker-13 Pending -",
+      "3.200 M j1-worker-12 Scheduled node-2",
+      "3.200 M j1-worker-13 Scheduled node-2",
+      "3.650 D j1-worker-10 Terminating node-1",
+      "3.650 D j1-worker-11 Terminating node-1",
+      "3.650 D j1-worker-5 Terminating node-0",
+      "3.650 D j1-worker-6 Terminating node-1",
+      "3.650 D j1-worker-7 Terminating node-1",
+      "3.650 D j1-worker-8 Terminating node-1",
+      "3.650 D j1-worker-9 Terminating node-1",
+      "3.850 A j1-worker-5 Pending -",
+      "3.850 A j1-worker-6 Pending -",
+      "3.850 A j1-worker-7 Pending -",
+      "3.850 A j1-worker-8 Pending -",
+      "3.850 A j1-worker-9 Pending -",
+      "3.850 A j1-worker-10 Pending -",
+      "3.850 A j1-worker-11 Pending -",
+      "3.900 M j1-worker-5 Scheduled node-0",
+      "3.900 M j1-worker-6 Scheduled node-2",
+      "3.900 M j1-worker-7 Scheduled node-2",
+      "3.900 M j1-worker-8 Scheduled node-2",
+      "3.900 M j1-worker-9 Scheduled node-2",
+      "3.900 M j1-worker-10 Scheduled node-1",
+      "3.900 M j1-worker-11 Scheduled node-1",
+      "5.200 M j1-worker-12 Running node-2",
+      "5.200 M j1-worker-13 Running node-2",
+      "5.900 M j1-worker-5 Running node-0",
+      "5.900 M j1-worker-6 Running node-2",
+      "5.900 M j1-worker-7 Running node-2",
+      "5.900 M j1-worker-8 Running node-2",
+      "5.900 M j1-worker-9 Running node-2",
+      "5.900 M j1-worker-10 Running node-1",
+      "5.900 M j1-worker-11 Running node-1",
+      "6.100 M j1-worker-3 Terminating node-0",
+      "7.100 D j1-worker-3 Terminating node-0",
+      "7.300 A j1-worker-3 Pending -",
+      "7.350 M j1-worker-3 Scheduled node-0",
+      "9.350 M j1-worker-3 Running node-0",
+      "9.750 M j1-launcher Terminating node-0",
+      "9.750 M j1-worker-0 Terminating node-0",
+      "9.750 M j1-worker-1 Terminating node-0",
+      "9.750 M j1-worker-10 Terminating node-1",
+      "9.750 M j1-worker-11 Terminating node-1",
+      "9.750 M j1-worker-12 Terminating node-2",
+      "9.750 M j1-worker-13 Terminating node-2",
+      "9.750 M j1-worker-2 Terminating node-0",
+      "9.750 M j1-worker-3 Terminating node-0",
+      "9.750 M j1-worker-4 Terminating node-0",
+      "9.750 M j1-worker-5 Terminating node-0",
+      "9.750 M j1-worker-6 Terminating node-2",
+      "9.750 M j1-worker-7 Terminating node-2",
+      "9.750 M j1-worker-8 Terminating node-2",
+      "9.750 M j1-worker-9 Terminating node-2",
+      "10.750 D j1-launcher Terminating node-0",
+      "10.750 D j1-worker-0 Terminating node-0",
+      "10.750 D j1-worker-1 Terminating node-0",
+      "10.750 D j1-worker-10 Terminating node-1",
+      "10.750 D j1-worker-11 Terminating node-1",
+      "10.750 D j1-worker-12 Terminating node-2",
+      "10.750 D j1-worker-13 Terminating node-2",
+      "10.750 D j1-worker-2 Terminating node-0",
+      "10.750 D j1-worker-3 Terminating node-0",
+      "10.750 D j1-worker-4 Terminating node-0",
+      "10.750 D j1-worker-5 Terminating node-0",
+      "10.750 D j1-worker-6 Terminating node-2",
+      "10.750 D j1-worker-7 Terminating node-2",
+      "10.750 D j1-worker-8 Terminating node-2",
+      "10.750 D j1-worker-9 Terminating node-2",
+  };
+  EXPECT_EQ(scripted_pod_events(), want);
 }
 
 TEST(CharmJobController, PhaseNames) {
