@@ -119,6 +119,32 @@ void BM_SimulationMixedTimestamps(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulationMixedTimestamps)->Arg(1000)->Arg(10000);
 
+// Short runs on a fresh kernel, the scheduler simulator's pattern: each of
+// a sweep's thousands of runs builds its own Simulation and executes a few
+// dozen events, so kernel construction and teardown weigh as much as
+// dispatch. Mixes in-order arrivals, backfill and same-time events.
+void BM_SimulationFreshShortRun(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    sim::Simulation sim;
+    for (int i = 0; i < n; ++i) {
+      switch (i % 6) {
+        case 3:  // backfill: behind the latest pending timestamp
+          sim.schedule_at(0.5 * i, [] {});
+          break;
+        case 5:  // same-time event
+          sim.schedule_now([] {});
+          break;
+        default:  // in-order arrival
+          sim.schedule_at(1.0 * i, [] {});
+      }
+    }
+    benchmark::DoNotOptimize(sim.run());
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_SimulationFreshShortRun)->Arg(48);
+
 struct NopChare final : charm::Chare {
   void pup(charm::Pup&) override {}
 };

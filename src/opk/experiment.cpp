@@ -141,7 +141,7 @@ class ClusterExperiment::Harness final : public schedsim::ExecHarness {
         const int old_replicas = exec.replicas;
         exec.accrue_until(boundary);  // progress at the old rate
         const double overhead =
-            exec.workload.rescale.overhead_s(old_replicas, target);
+            exec.workload->rescale.overhead_s(old_replicas, target);
         exec.replicas = target;
         exec.accrue_from = boundary + overhead;
         note_rescale(id);

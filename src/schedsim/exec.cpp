@@ -46,9 +46,9 @@ JobExec ExecHarness::make_exec(const SubmittedJob& job) {
   auto it = workloads_.find(job.job_class);
   EHPC_EXPECTS(it != workloads_.end());
   JobExec exec;
-  exec.workload = it->second;
-  exec.remaining_steps = exec.workload.total_steps;
-  exec.ckpt_remaining_steps = exec.workload.total_steps;
+  exec.workload = &it->second;
+  exec.remaining_steps = it->second.total_steps;
+  exec.ckpt_remaining_steps = it->second.total_steps;
   exec.record.id = job.spec.id;
   exec.record.priority = job.spec.priority;
   exec.record.submit_time = job.submit_time;
@@ -64,9 +64,12 @@ SimResult ExecHarness::run(const std::vector<SubmittedJob>& mix) {
   EHPC_EXPECTS(!mix.empty());
   used_ = true;
 
+  // Each event refers to its submission in `mix`, which outlives run():
+  // a copy of the SubmittedJob (name string included) would overflow the
+  // callback's inline buffer and heap-box every job.
   for (const SubmittedJob& job : mix) {
     execs_.emplace(job.spec.id, make_exec(job));
-    sim_.schedule_at(job.submit_time, [this, job] { submit(job); });
+    sim_.schedule_at(job.submit_time, [this, &job] { submit(job); });
   }
   schedule_faults();
   sim_.run();
@@ -95,8 +98,8 @@ SimResult ExecHarness::run_stream(trace::TraceSource& source) {
   std::optional<SubmittedJob> first = source.next();
   EHPC_EXPECTS(first.has_value());  // an empty trace is a caller error
   stream_pending_ = true;
-  const SubmittedJob job = *first;
-  sim_.schedule_at(job.submit_time, [this, job] { pump_submit(job); });
+  next_submission_ = std::move(*first);
+  sim_.schedule_at(next_submission_.submit_time, [this] { pump_submit(); });
   schedule_faults();
   sim_.run();
 
@@ -115,7 +118,10 @@ SimResult ExecHarness::run_stream(trace::TraceSource& source) {
   return result;
 }
 
-void ExecHarness::pump_submit(const SubmittedJob& job) {
+void ExecHarness::pump_submit() {
+  // A local copy: source_->next() below refills the member while `job` is
+  // still in use.
+  const SubmittedJob job = std::move(next_submission_);
   // Trace contract: ids unique among jobs tracked simultaneously.
   EHPC_EXPECTS(execs_.count(job.spec.id) == 0);
   execs_.emplace(job.spec.id, make_exec(job));
@@ -126,9 +132,8 @@ void ExecHarness::pump_submit(const SubmittedJob& job) {
   std::optional<SubmittedJob> next = source_->next();
   if (next.has_value()) {
     EHPC_EXPECTS(next->submit_time >= job.submit_time);  // sorted stream
-    const SubmittedJob pending = *next;
-    sim_.schedule_at(pending.submit_time,
-                     [this, pending] { pump_submit(pending); });
+    next_submission_ = std::move(*next);
+    sim_.schedule_at(next_submission_.submit_time, [this] { pump_submit(); });
   } else {
     stream_pending_ = false;
   }
@@ -194,7 +199,7 @@ void ExecHarness::note_rescale(elastic::JobId id) {
   // Substrates call note_rescale after accruing progress at the old (slow)
   // rate, so clearing here takes effect exactly at the rescale boundary.
   exec.slowdown = 1.0;
-  const auto& lb = exec.workload.lb;
+  const auto& lb = exec.workload->lb;
   collector_->record_lb_step(lb.post_ratio, lb.migrations_per_step);
 }
 
@@ -488,7 +493,7 @@ void ExecHarness::apply_fault(JobExec& exec, bool is_crash) {
   // Downtime: detection (crashes only; an eviction is reported
   // synchronously), process restart, and a state restore from disk rather
   // than /dev/shm.
-  const auto& rescale = exec.workload.rescale;
+  const auto& rescale = exec.workload->rescale;
   const double lead = (is_crash ? fault_plan_.detection_s : 0.0) +
                       rescale.restart_s(exec.replicas);
   double restore =
@@ -552,7 +557,7 @@ void ExecHarness::checkpoint_tick() {
     // becomes the rollback target once that write completes.
     exec.pending_ckpt_steps = exec.remaining_steps;
     exec.accrue_from +=
-        exec.workload.rescale.checkpoint_s(exec.replicas) * fault_plan_.disk_factor;
+        exec.workload->rescale.checkpoint_s(exec.replicas) * fault_plan_.disk_factor;
     exec.pending_ckpt_done_s = exec.accrue_from;
     exec.record.recovery_s += exec.accrue_from - now;
     schedule_completion(id);

@@ -80,7 +80,9 @@ class ExperimentBackend {
 /// (`SchedSimulator` and `ClusterExperiment`): the workload model, progress
 /// accounting in virtual time, and the lifecycle record.
 struct JobExec {
-  elastic::Workload workload;
+  /// The job class's workload model, borrowed from the harness's workload
+  /// map, which outlives every exec on both substrates.
+  const elastic::Workload* workload = nullptr;
   std::string job_name;  ///< CharmJob CR name on the cluster substrate
   double remaining_steps = 0.0;
   int replicas = 0;  ///< replicas progress accrues at; 0 before start
@@ -123,7 +125,7 @@ struct JobExec {
 
   /// Seconds per step at the current replica count (and straggler state).
   double step_time() const {
-    return workload.time_per_step.at_clamped(static_cast<double>(replicas)) *
+    return workload->time_per_step.at_clamped(static_cast<double>(replicas)) *
            slowdown;
   }
 
@@ -241,9 +243,10 @@ class ExecHarness {
   /// Build the JobExec for one submission (shared by both drive modes).
   JobExec make_exec(const SubmittedJob& job);
   void submit(const SubmittedJob& job);
-  /// Streaming pump: admit `job` now, then pull and schedule the next
-  /// submission — at most one submission event is pending at any time.
-  void pump_submit(const SubmittedJob& job);
+  /// Streaming pump: admit `next_submission_` now, then pull the next
+  /// submission into it and schedule it — at most one submission event is
+  /// pending at any time.
+  void pump_submit();
   /// How a job's execution ended; drives the record flags in finish_job.
   enum class JobOutcome { kCompleted, kFailed, kTimedOut };
   /// Shared tail of completion, budget-kill and task timeout: cancel
@@ -313,6 +316,9 @@ class ExecHarness {
   trace::TraceSource* source_ = nullptr;
   /// True until the source returns nullopt.
   bool stream_pending_ = false;
+  /// The one pending submission; its event captures only `this`, so it
+  /// stays inside the callback's inline buffer.
+  SubmittedJob next_submission_;
   StreamStats stream_stats_;
   P2Quantile response_p50_{0.5};
   P2Quantile response_p99_{0.99};

@@ -52,7 +52,7 @@ class SimHarness final : public ExecHarness {
       pause_base = e.accrue_from;
     }
     const double overhead =
-        e.workload.rescale.overhead_s(old_replicas, new_replicas);
+        e.workload->rescale.overhead_s(old_replicas, new_replicas);
     e.replicas = new_replicas;
     e.accrue_from = pause_base + overhead;
     note_rescale(id);

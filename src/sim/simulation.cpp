@@ -1,9 +1,18 @@
 #include "sim/simulation.hpp"
 
 #include <algorithm>
+#include <memory>
+#include <new>
 #include <utility>
 
 namespace ehpc::sim {
+
+Simulation::~Simulation() {
+  // Pending callbacks (and whatever they capture) die with their slots.
+  for (std::uint32_t idx = 0; idx < slot_high_water_; ++idx) {
+    std::destroy_at(&slot(idx));
+  }
+}
 
 std::uint32_t Simulation::acquire_slot(Callback&& fn) {
   std::uint32_t idx;
@@ -11,11 +20,15 @@ std::uint32_t Simulation::acquire_slot(Callback&& fn) {
     idx = free_head_;
     free_head_ = slot(idx).next_free;
   } else {
-    idx = slot_high_water_++;
+    idx = slot_high_water_;
     EHPC_ENSURES(idx != kNoSlot);
     if ((idx >> kChunkShift) == chunks_.size()) {
-      chunks_.push_back(std::make_unique<Slot[]>(kChunkSize));
+      std::unique_ptr<Slot, ChunkDeleter> chunk(
+          std::allocator<Slot>().allocate(kChunkSize));
+      chunks_.push_back(std::move(chunk));
     }
+    ::new (static_cast<void*>(&slot(idx))) Slot;
+    ++slot_high_water_;
   }
   Slot& cell = slot(idx);
   cell.fn = std::move(fn);

@@ -29,6 +29,10 @@ inline constexpr EventId kInvalidEvent = 0;
 ///    (SmallFunction, 64-byte small buffer). Slots are recycled through a
 ///    free list and never move, so steady-state scheduling touches no
 ///    allocator and no callback is ever copied.
+///  - A chunk is allocated as raw storage, and each slot is constructed
+///    when the high-water mark first reaches it. A fresh kernel therefore
+///    touches only the slots it hands out: a short run of a few dozen
+///    events pays for a few dozen slots, not for the whole 256-slot chunk.
 ///  - Pending events are 24-byte (time, seq, slot, gen) items spread over
 ///    three lanes, popped globally in (time, seq) order:
 ///      * a FIFO bucket for events at exactly now() (same-timestamp chains,
@@ -44,6 +48,7 @@ class Simulation {
   using Callback = SmallFunction<void()>;
 
   Simulation() = default;
+  ~Simulation();
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
 
@@ -142,11 +147,21 @@ class Simulation {
            (static_cast<EventId>(slot) + 1);
   }
 
+  /// Frees a chunk's raw storage; the slots in it are destroyed first, by
+  /// ~Simulation.
+  struct ChunkDeleter {
+    void operator()(Slot* chunk) const {
+      std::allocator<Slot>().deallocate(chunk, kChunkSize);
+    }
+  };
+
+  // Only slots below slot_high_water_ are constructed; callers never pass
+  // a larger index (cancel checks it first).
   Slot& slot(std::uint32_t idx) {
-    return chunks_[idx >> kChunkShift][idx & kChunkMask];
+    return chunks_[idx >> kChunkShift].get()[idx & kChunkMask];
   }
   const Slot& slot(std::uint32_t idx) const {
-    return chunks_[idx >> kChunkShift][idx & kChunkMask];
+    return chunks_[idx >> kChunkShift].get()[idx & kChunkMask];
   }
 
   bool item_live(const Item& it) const { return slot(it.slot).gen == it.gen; }
@@ -173,8 +188,10 @@ class Simulation {
   std::uint64_t executed_ = 0;
   std::size_t live_ = 0;
 
-  std::vector<std::unique_ptr<Slot[]>> chunks_;
-  std::uint32_t slot_high_water_ = 0;  // slots handed out at least once
+  std::vector<std::unique_ptr<Slot, ChunkDeleter>> chunks_;
+  // Slots handed out at least once: exactly [0, slot_high_water_) are
+  // constructed.
+  std::uint32_t slot_high_water_ = 0;
   std::uint32_t free_head_ = kNoSlot;
 
   std::vector<Item> heap_;    // binary min-heap on (time, seq)

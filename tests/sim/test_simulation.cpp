@@ -6,6 +6,7 @@
 #include <functional>
 #include <memory>
 #include <set>
+#include <utility>
 #include <vector>
 
 namespace ehpc::sim {
@@ -302,6 +303,63 @@ TEST(Simulation, LargeCallbackCancelReleasesCleanly) {
   EXPECT_FALSE(watch.expired());  // kept alive by the pending event
   EXPECT_TRUE(sim.cancel(id));
   EXPECT_TRUE(watch.expired());  // cancel destroys the stored callable
+}
+
+// Slots are constructed on first use, so destruction must release exactly
+// the slots handed out: the pending callbacks in both chunks (inline and
+// heap-boxed, each holding a shared_ptr) die with the kernel. 320 events
+// reach only 280 slots, because the last 40 reuse slots freed by run
+// events; the sanitizer lanes fill fresh heap memory with garbage, so
+// destroying one of the never-constructed slots 280.. would crash there.
+TEST(Simulation, DestroyReleasesPendingCallbacksAcrossChunks) {
+  std::vector<std::pair<int, std::weak_ptr<int>>> watches;
+  std::vector<EventId> ids;
+  int ran = 0;
+  const auto schedule = [&](Simulation& sim, int i) {
+    const double at = 1.0 + i;
+    if (i % 3 != 0) {
+      ids.push_back(sim.schedule_at(at, [&ran] { ++ran; }));  // trivial
+      return;
+    }
+    auto token = std::make_shared<int>(i);
+    watches.emplace_back(i, token);
+    if (i % 9 == 0) {
+      std::array<double, 16> pad{};  // 128 bytes: heap-boxed callable
+      ids.push_back(sim.schedule_at(
+          at, [token, pad, &ran] { ran += 1 + static_cast<int>(pad[0]); }));
+    } else {
+      ids.push_back(sim.schedule_at(at, [token, &ran] { ++ran; }));
+    }
+  };
+  {
+    Simulation sim;
+    for (int i = 0; i < 280; ++i) schedule(sim, i);  // slots 0..279
+    sim.run_until(40.5);                             // frees 40 slots
+    EXPECT_EQ(ran, 40);
+    for (int i = 280; i < 320; ++i) schedule(sim, i);  // reuses them
+    int cancelled = 0;
+    for (int i = 40; i < 320; i += 5) {
+      EXPECT_TRUE(sim.cancel(ids[static_cast<std::size_t>(i)]));
+      ++cancelled;
+    }
+    sim.run_until(50.5);  // events 40..49 minus the cancelled 40 and 45
+    EXPECT_EQ(ran, 48);
+    EXPECT_EQ(sim.pending(), static_cast<std::size_t>(320 - 50 - cancelled + 2));
+    int alive = 0;
+    for (const auto& [i, watch] : watches) {
+      const bool pending = i >= 50 && i % 5 != 0;
+      EXPECT_EQ(!watch.expired(), pending) << "event " << i;
+      alive += pending;
+    }
+    EXPECT_GT(alive, 0);
+    // Event 279 holds slot 279, the highest one handed out.
+    ASSERT_EQ(watches[93].first, 279);
+    ASSERT_FALSE(watches[93].second.expired());
+  }
+  for (const auto& [i, watch] : watches) {
+    EXPECT_TRUE(watch.expired()) << "event " << i << " leaked its callback";
+  }
+  EXPECT_EQ(ran, 48);  // destruction runs no callback
 }
 
 // Out-of-order scheduling exercises the heap lane together with the others;
